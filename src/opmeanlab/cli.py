@@ -7,7 +7,9 @@ search), ``reproduce`` (re-derive the bundled known violations).
 
 Exit codes: 0 when the run completed and the outcome matched expectation
 (``--expect-violation`` flips what counts as expected), 1 when it
-completed contrary to expectation, 2 for usage or configuration errors.
+completed contrary to expectation, 2 for usage or configuration errors and
+for runs that cannot finish (overflow, a mean or eigensolver that does not
+converge), reported as one ``error:`` line on stderr.
 
 JSON output is canonical: keys sorted, two-space indent, no timing fields,
 so identical invocations produce byte-identical reports.
@@ -43,6 +45,7 @@ from .counterexamples import (
 from .functions import EXP_MINUS_ONE, IDENTITY, power_function, scaled_power_function
 from .kubo_ando import (
     ARITHMETIC,
+    AlmConvergenceError,
     GEOMETRIC,
     HARMONIC,
     alm_mean,
@@ -62,7 +65,7 @@ from .linmaps import (
 from .matio import format_sym_matrix, read_general_matrix, read_sym_matrix
 from .search import falsify
 from .statements import StatementConfig, check, get_statement, run_trials
-from .symmat import SpectralBand, random_spd, validate_band
+from .symmat import EigenConvergenceError, SpectralBand, random_spd, validate_band
 
 __all__ = ["main"]
 
@@ -566,8 +569,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, AlmConvergenceError, EigenConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return 2
 
 

@@ -10,7 +10,9 @@ The catalog covers the arithmetic, geometric and harmonic means together
 with their weighted versions, plus validated custom representing
 functions.  The multi-matrix geometric mean is the symmetrization
 fixed-point construction that replaces each matrix by the mean of the
-remaining ones until the tuple stops moving.
+remaining ones until the tuple stops moving.  Its sub-tuples are swept in
+lock-step as stacked arrays through the one binary-mean kernel, and each
+converges on its own.
 
 Invariant tolerances (the test suite verifies these on random instances):
 
@@ -69,7 +71,11 @@ __all__ = [
 
 
 class AlmConvergenceError(RuntimeError):
-    """Multi-matrix geometric mean iteration did not reach tolerance."""
+    """Multi-matrix geometric mean iteration did not reach tolerance.
+
+    ``residual`` is the largest member delta of the failing level's last
+    sweep, over the tuples of that level that had not converged.
+    """
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
@@ -200,36 +206,31 @@ def representing_value(sigma: MeanDescriptor, t: float) -> float:
     return float(sigma.h(t))
 
 
-def _conj_parts(a: np.ndarray):
-    """Return ``(A^(1/2), A^(-1/2))`` for a PD array, or raise."""
-    w, q = np.linalg.eigh(a)
-    if w[0] <= PD_FLOOR:
-        raise NotPositiveDefiniteError(
-            f"mean requires positive definite inputs; eigenvalue {w[0]:.6e} at or below floor"
-        )
-    sq = np.sqrt(w)
-    half = (q * sq) @ q.T
-    inv_half = (q * (1.0 / sq)) @ q.T
-    return half, inv_half
-
-
 def _binary_mean(h: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    half, inv_half = _conj_parts(a)
-    c = inv_half @ b @ inv_half
-    c = (c + c.T) / 2.0
-    wc, qc = np.linalg.eigh(c)
-    if wc[0] <= PD_FLOOR:
+    """``A sigma B`` over stacks ``(..., d, d)``; each pair gets the bits it gets alone."""
+    w, q = np.linalg.eigh(a)
+    if (low := min(w[..., 0].flat)) <= PD_FLOOR:
         raise NotPositiveDefiniteError(
-            f"mean requires positive definite inputs; eigenvalue {wc[0]:.6e} at or below floor"
+            f"mean requires positive definite inputs; eigenvalue {low:.6e} at or below floor"
+        )
+    sq = np.sqrt(w)[..., None, :]
+    half = (q * sq) @ q.mT
+    inv_half = (q * (1.0 / sq)) @ q.mT
+    c = inv_half @ b @ inv_half
+    c = (c + c.mT) / 2.0
+    wc, qc = np.linalg.eigh(c)
+    if (low := min(wc[..., 0].flat)) <= PD_FLOOR:
+        raise NotPositiveDefiniteError(
+            f"mean requires positive definite inputs; eigenvalue {low:.6e} at or below floor"
         )
     with np.errstate(all="ignore"):
         hw = np.asarray(h(wc), dtype=float)
     if not np.isfinite(hw).all():
         bad = wc[~np.isfinite(hw)][0]
         raise SpectrumDomainError(f"representing function undefined at eigenvalue {bad!r}")
-    inner = (qc * hw) @ qc.T
+    inner = (qc * hw[..., None, :]) @ qc.mT
     out = half @ inner @ half
-    return (out + out.T) / 2.0
+    return (out + out.mT) / 2.0
 
 
 def mean(sigma: MeanDescriptor, a: SymMatrix, b: SymMatrix) -> SymMatrix:
@@ -311,29 +312,31 @@ def is_between_harmonic_arithmetic(h: RepresentingFunction, tol: float = 1e-12) 
     return bool((vals >= lower - tol).all() and (vals <= upper + tol).all())
 
 
-def _alm(arrays: list, tol: float, max_iter: int) -> np.ndarray:
-    n = len(arrays)
-    if n == 1:
-        return arrays[0]
-    if n == 2:
-        return _binary_mean(np.sqrt, arrays[0], arrays[1])
-    cur = list(arrays)
-    residual = np.inf
+def _alm(tuples: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """ALM mean of every tuple in a ``(B, n, d, d)`` stack, as ``(B, d, d)``.
+
+    Each sweep stacks the leave-one-out sub-tuples of every tuple still
+    iterating into one recursive call.  A tuple stops at the sweep where no
+    member moved by more than ``tol * (1 + ||old||_F)``, as it would alone.
+    """
+    count, n, d = tuples.shape[:3]
+    if n <= 2:
+        return tuples[:, 0] if n == 1 else _binary_mean(np.sqrt, tuples[:, 0], tuples[:, 1])
+    others = [[j for j in range(n) if j != i] for i in range(n)]
+    out = np.empty((count, d, d))
+    active, cur, residual = np.arange(count), tuples, np.inf
     for _ in range(max_iter):
-        nxt = [
-            _alm([cur[j] for j in range(n) if j != i], tol, max_iter)
-            for i in range(n)
-        ]
-        residual = 0.0
-        done = True
-        for old, new in zip(cur, nxt):
-            delta = float(np.linalg.norm(new - old))
-            residual = max(residual, delta)
-            if delta > tol * (1.0 + float(np.linalg.norm(old))):
-                done = False
-        cur = nxt
-        if done:
-            return sum(cur) / n
+        k = len(active)
+        nxt = _alm(cur[:, others].reshape(k * n, n - 1, d, d), tol, max_iter).reshape(k, n, d, d)
+        # Frobenius norms with the one BLAS dot per matrix that np.linalg.norm uses
+        step, old = (nxt - cur).reshape(k, n, -1), cur.reshape(k, n, -1)
+        delta = np.sqrt(np.vecdot(step, step))
+        moving = (delta > tol * (1.0 + np.sqrt(np.vecdot(old, old)))).any(axis=1)
+        done = np.flatnonzero(~moving)
+        out[active[done]] = sum(nxt[done, i] for i in range(n)) / n
+        if done.size == k:
+            return out
+        active, cur, residual = active[moving], nxt[moving], float(delta[moving].max())
     raise AlmConvergenceError(
         f"multi-matrix geometric mean did not converge after {max_iter} iterations "
         f"(last residual {residual:.3e})",
@@ -348,15 +351,12 @@ def alm_mean(mats: Sequence[SymMatrix], tol: float = 1e-12, max_iter: int = 1000
     each matrix is repeatedly replaced by the mean of the other ``n - 1``
     until ``max_i ||A_i_new - A_i|| <= tol * (1 + ||A_i||)`` in Frobenius
     norm; the returned value is the average of the converged tuple.  The
-    recursion makes the cost grow factorially with ``n``; n = 5 already
-    takes seconds at small dimensions.
+    leave-one-out sub-tuples of a level are swept in lock-step as one stack,
+    and each of them converges on its own, exactly as it would alone.
     """
     mats = list(mats)
     if not mats:
         raise ValueError("need at least one matrix")
-    dim = mats[0].dim
-    for m in mats[1:]:
-        if m.dim != dim:
-            raise DimensionMismatchError("all matrices must share one dimension")
-    arrays = [m.data for m in mats]
-    return SymMatrix(_alm(arrays, tol, max_iter))
+    if len({m.dim for m in mats}) > 1:
+        raise DimensionMismatchError("all matrices must share one dimension")
+    return SymMatrix(_alm(np.stack([m.data for m in mats])[None], tol, max_iter)[0])

@@ -90,6 +90,12 @@ class TestConstantsCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_overflow_is_one_line_error(self, capsys):
+        code, out, err = run_cli(capsys, "constants", "--band", "1e-300:1e300")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestMeanCommand:
     def test_binary_geometric(self, tmp_path, capsys):
@@ -121,6 +127,19 @@ class TestMeanCommand:
         code, _, err = run_cli(capsys, "mean", *paths, "--sigma", "arithmetic")
         assert code == 2
         assert "geometric" in err
+
+    def test_non_convergence_is_one_line_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        paths = []
+        for i in range(3):
+            p = tmp_path / f"m{i}.txt"
+            write_sym_matrix(p, ol.random_spd(2, SpectralBand(0.5, 2.0), rng=rng))
+            paths.append(str(p))
+        code, out, err = run_cli(capsys, "mean", *paths, "--max-iter", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "did not converge" in err
 
     def test_single_file_rejected(self, tmp_path, capsys):
         p = tmp_path / "m.txt"

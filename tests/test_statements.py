@@ -175,6 +175,16 @@ class TestRunTrials:
         rep = ol.run_trials(cfg, trials=15, seed=2)
         assert rep.counted == 15 and rep.violations == 0
 
+    def test_multi_statements_hold_at_five_matrices(self):
+        # yamazaki's coefficient depends on n, so n = 5 is a case of its own
+        for sid in ("yamazaki", "ragm"):
+            cfg = StatementConfig(
+                statement_id=sid, band=SpectralBand(0.5, 2.0), dim=2, n_matrices=5
+            )
+            rep = ol.run_trials(cfg, trials=1, seed=3)
+            assert rep.counted == 1, sid
+            assert rep.violations == 0 and rep.rejected == 0, sid
+
     def test_violating_statement_reports_witnesses(self):
         cfg = StatementConfig(statement_id="q2sq", band=SpectralBand(0.4, 3.0))
         rep = ol.run_trials(cfg, trials=150, seed=17)
