@@ -104,7 +104,7 @@ class RepresentingFunction:
             return 2.0 * t / (1.0 + t)
         if self.kind == "weighted-harmonic":
             return t / ((1.0 - self.weight) * t + self.weight)
-        return np.asarray(self.handle(t), dtype=float)
+        return np.broadcast_to(np.asarray(self.handle(t), dtype=float), t.shape)
 
 
 @dataclass(frozen=True)
@@ -209,17 +209,17 @@ def representing_value(sigma: MeanDescriptor, t: float) -> float:
 def _binary_mean(h: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``A sigma B`` over stacks ``(..., d, d)``; each pair gets the bits it gets alone."""
     w, q = np.linalg.eigh(a)
-    if (low := min(w[..., 0].flat)) <= PD_FLOOR:
+    if (low := w[0] if w.ndim == 1 else w[..., 0].min()) <= PD_FLOOR:
         raise NotPositiveDefiniteError(
             f"mean requires positive definite inputs; eigenvalue {low:.6e} at or below floor"
         )
-    sq = np.sqrt(w)[..., None, :]
-    half = (q * sq) @ q.mT
-    inv_half = (q * (1.0 / sq)) @ q.mT
+    sq, qt = np.sqrt(w)[..., None, :], q.mT
+    half = (q * sq) @ qt
+    inv_half = (q * (1.0 / sq)) @ qt
     c = inv_half @ b @ inv_half
     c = (c + c.mT) / 2.0
     wc, qc = np.linalg.eigh(c)
-    if (low := min(wc[..., 0].flat)) <= PD_FLOOR:
+    if (low := wc[0] if wc.ndim == 1 else wc[..., 0].min()) <= PD_FLOOR:
         raise NotPositiveDefiniteError(
             f"mean requires positive definite inputs; eigenvalue {low:.6e} at or below floor"
         )

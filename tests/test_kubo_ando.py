@@ -101,6 +101,14 @@ class TestValidation:
         assert ol.loewner_leq(lo, m).holds
         assert ol.loewner_leq(m, hi).holds
 
+    def test_custom_mean_accepts_constant_handle(self):
+        # h = 1 is the left-trivial mean A sigma B = A
+        desc = ol.custom_mean("left", lambda t: 1.0)
+        a, b = spd_pair(6)
+        assert_allclose(ol.mean(desc, a, b).data, a.data, rtol=1e-12, atol=1e-12)
+        stack_a, stack_b = spd_tuple(8, 3, 2), spd_tuple(9, 3, 2)
+        assert_allclose(_binary_mean(desc.h, stack_a, stack_b), stack_a, rtol=1e-12, atol=1e-12)
+
     def test_custom_mean_rejects_bad_normalization(self):
         with pytest.raises(ValueError, match="h\\(1\\)"):
             ol.custom_mean("twice", lambda t: 2.0 * t)
@@ -222,14 +230,16 @@ class TestAlm:
         assert_allclose(ol.alm_mean([a]).data, a.data)
 
     def test_iteration_cap(self):
-        mats = [
+        diagonal = [
             SymMatrix.diagonal([1.0, 8.0]),
             SymMatrix.diagonal([2.0, 1.0]),
             SymMatrix.diagonal([4.0, 1.0]),
         ]
-        with pytest.raises(ol.AlmConvergenceError) as err:
-            ol.alm_mean(mats, max_iter=1)
-        assert err.value.residual > 0
+        # at n = 4 the n = 3 level fails first
+        for mats in (diagonal, [SymMatrix(a) for a in spd_tuple(3, 4, 2)]):
+            with pytest.raises(ol.AlmConvergenceError) as err:
+                ol.alm_mean(mats, max_iter=1)
+            assert 0 < err.value.residual < np.inf
 
 
 class TestStackedAlm:
@@ -258,12 +268,6 @@ class TestStackedAlm:
         with pytest.raises(ol.AlmConvergenceError) as stacked:
             _alm(np.stack([FAST, slow]), 1e-12, 30)
         assert stacked.value.residual == alone.value.residual > 0
-
-    def test_iteration_cap_fails_in_the_inner_level(self):
-        mats = [SymMatrix(a) for a in spd_tuple(3, 4, 2)]
-        with pytest.raises(ol.AlmConvergenceError) as err:
-            ol.alm_mean(mats, max_iter=1)
-        assert 0 < err.value.residual < np.inf
 
     def test_binary_kernel_on_a_stack_matches_single_pairs(self):
         a, b = spd_tuple(11, 5, 3), spd_tuple(12, 5, 3)
