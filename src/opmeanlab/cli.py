@@ -22,7 +22,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import replace as _dc_replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -64,8 +64,8 @@ from .linmaps import (
 )
 from .matio import format_sym_matrix, read_general_matrix, read_sym_matrix
 from .search import falsify
-from .statements import StatementConfig, check, get_statement, run_trials
-from .symmat import EigenConvergenceError, SpectralBand, random_spd, validate_band
+from .statements import StatementConfig, check, run_trials, seeded_inputs
+from .symmat import EigenConvergenceError, SpectralBand, validate_band
 
 __all__ = ["main"]
 
@@ -288,22 +288,13 @@ def cmd_mean(args) -> int:
     return 0
 
 
-def _matrices_for_check(args, cfg, info):
-    if args.matrices:
-        return [read_sym_matrix(p) for p in args.matrices]
-    rng = np.random.default_rng([args.seed, 0])
-    count = cfg.n_matrices if info.multi else 2
-    mats = []
-    for _ in range(count):
-        pinned = bool(rng.random() < 0.5)
-        mats.append(random_spd(cfg.dim, cfg.band, pinned=pinned, rng=rng))
-    return mats
-
-
 def cmd_check(args) -> int:
     cfg = build_config(args)
-    info = get_statement(cfg.statement_id)
-    mats = _matrices_for_check(args, cfg, info)
+    if args.matrices:
+        mats = [read_sym_matrix(p) for p in args.matrices]
+    else:
+        # the seeded draw is trial 0 of a run seeded with --seed
+        mats = list(seeded_inputs(cfg, args.seed, 0, 1)[0])
     verdict = check(cfg, mats, skip_band_check=args.skip_band_check)
     report = {
         "command": "check",
@@ -388,9 +379,9 @@ def cmd_falsify(args) -> int:
                 f"no bundled witness for {args.statement!r}; available: {have}"
             )
         if args.band is None:
-            cfg = _replace_band(cfg, known.band)
+            cfg = replace(cfg, band=known.band)
         if args.p is None and known.p is not None:
-            cfg = _replace_p(cfg, known.p)
+            cfg = replace(cfg, p=known.p)
         initial = list(known.matrices)
         skip_initial = True
     elif args.matrices:
@@ -437,14 +428,6 @@ def cmd_falsify(args) -> int:
     emit(report, args, lines)
     violated = witness is not None
     return 0 if violated == bool(args.expect_violation) else 1
-
-
-def _replace_band(cfg: StatementConfig, band) -> StatementConfig:
-    return _dc_replace(cfg, band=band)
-
-
-def _replace_p(cfg: StatementConfig, p: float) -> StatementConfig:
-    return _dc_replace(cfg, p=p)
 
 
 def cmd_reproduce(args) -> int:

@@ -118,6 +118,25 @@ def _golden_max(fn: Callable, lo: float, hi: float, width: float = 1e-12) -> flo
     return best
 
 
+def _grid_golden_max(
+    num: Callable, den: Callable, a: float, b: float, grid_points: int, width: float, not_finite: str
+) -> float:
+    """Maximum of ``num(t) / den(t)`` over ``[a, b]``: a dense grid scan
+    followed by golden-section refinement of the cell around the best grid
+    point.  A non-finite grid value raises ``ValueError(not_finite)``.
+    """
+    x = np.linspace(a, b, grid_points)
+    with np.errstate(all="ignore"):
+        vals = np.asarray(num(x), dtype=float) / den(x)
+    if not np.isfinite(vals).all():
+        raise ValueError(not_finite)
+    i = int(np.argmax(vals))
+    lo = x[max(i - 1, 0)]
+    hi = x[min(i + 1, grid_points - 1)]
+    ratio = lambda t: float(num(t)) / den(t)
+    return max(float(vals[i]), _golden_max(ratio, float(lo), float(hi), width))
+
+
 def chord_ratio_max(
     phi: Callable,
     a: float,
@@ -137,16 +156,10 @@ def chord_ratio_max(
         raise NonpositiveChordError(
             f"chord of {phi!r} is not positive on [{a!r}, {b!r}]"
         )
-    x = np.linspace(a, b, grid_points)
-    with np.errstate(all="ignore"):
-        vals = np.asarray(phi(x), dtype=float) / (mu * x + nu)
-    if not np.isfinite(vals).all():
-        raise ValueError("ratio is not finite on the interval")
-    i = int(np.argmax(vals))
-    lo = x[max(i - 1, 0)]
-    hi = x[min(i + 1, grid_points - 1)]
-    ratio = lambda t: float(phi(t)) / (mu * t + nu)
-    return max(float(vals[i]), _golden_max(ratio, float(lo), float(hi), refine_width))
+    return _grid_golden_max(
+        phi, lambda t: mu * t + nu, a, b, grid_points, refine_width,
+        "ratio is not finite on the interval",
+    )
 
 
 def mp_alpha(h: Callable, band: SpectralBand) -> float:
@@ -207,15 +220,9 @@ def mp_gamma(f: Callable, g: Callable, h: Callable, band: SpectralBand) -> MPCon
         raise NonpositiveChordError(
             "alpha-corrected chord of g is not positive on the band"
         )
-    x = np.linspace(band.m, band.M, 10001)
-    with np.errstate(all="ignore"):
-        vals = np.asarray(f(x), dtype=float) / denom(x)
-    if not np.isfinite(vals).all():
-        raise ValueError("gamma ratio is not finite on the band")
-    i = int(np.argmax(vals))
-    lo = float(x[max(i - 1, 0)])
-    hi = float(x[min(i + 1, 10000)])
-    gamma = max(float(vals[i]), _golden_max(lambda t: float(f(t)) / denom(t), lo, hi))
+    gamma = _grid_golden_max(
+        f, denom, band.m, band.M, 10001, 1e-12, "gamma ratio is not finite on the band"
+    )
     return MPConstants(
         mu_h=float(mu_h),
         nu_h=float(nu_h),

@@ -312,6 +312,11 @@ def is_between_harmonic_arithmetic(h: RepresentingFunction, tol: float = 1e-12) 
     return bool((vals >= lower - tol).all() and (vals <= upper + tol).all())
 
 
+#: Default stopping rule of the multi-matrix geometric mean.
+_ALM_TOL = 1e-12
+_ALM_MAX_ITER = 1000
+
+
 def _alm(tuples: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """ALM mean of every tuple in a ``(B, n, d, d)`` stack, as ``(B, d, d)``.
 
@@ -344,7 +349,9 @@ def _alm(tuples: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     )
 
 
-def alm_mean(mats: Sequence[SymMatrix], tol: float = 1e-12, max_iter: int = 1000) -> SymMatrix:
+def alm_mean(
+    mats: Sequence[SymMatrix], tol: float = _ALM_TOL, max_iter: int = _ALM_MAX_ITER
+) -> SymMatrix:
     """Symmetrized multi-matrix geometric mean.
 
     For two matrices this is the ordinary geometric mean.  For ``n >= 3``

@@ -20,6 +20,7 @@ from .symmat import (
     DimensionMismatchError,
     NotPositiveDefiniteError,
     SymMatrix,
+    _symmetrize,
 )
 
 __all__ = [
@@ -173,37 +174,46 @@ def scale(k: float) -> MapDescriptor:
     return MapDescriptor(kind="scale", factor=k)
 
 
-def apply_map(phi: MapDescriptor, a: SymMatrix) -> SymMatrix:
-    """Apply the map described by ``phi`` to ``a``."""
+def _apply_map(phi: MapDescriptor, x: np.ndarray) -> np.ndarray:
+    """:func:`apply_map` over a stack ``(..., d, d)``, each image symmetrized
+    as :class:`SymMatrix` stores it."""
+    d = x.shape[-1]
     need = phi.input_dim
-    if need is not None and need != a.dim:
+    if need is not None and need != d:
         raise DimensionMismatchError(
-            f"map {phi.describe()} expects dimension {need}, got {a.dim}"
+            f"map {phi.describe()} expects dimension {need}, got {d}"
         )
     if phi.kind == "identity":
-        return a
+        return x
     if phi.kind == "compression":
-        return SymMatrix(phi.isometry.T @ a.data @ phi.isometry)
-    if phi.kind == "pinching":
-        out = np.zeros_like(a.data)
+        out = phi.isometry.T @ x @ phi.isometry
+    elif phi.kind == "pinching":
+        # np.where keeps the zeros off the blocks positive, as a fresh
+        # zero matrix does; a 0/1 mask product would leave -0.0 there
+        keep = np.zeros((d, d), dtype=bool)
         for b in phi.blocks:
-            idx = np.ix_(b, b)
-            out[idx] = a.data[idx]
-        return SymMatrix(out)
-    if phi.kind == "normalized-trace":
-        return SymMatrix(np.eye(a.dim) * (np.trace(a.data) / a.dim))
-    if phi.kind == "convex-combination":
-        acc = None
+            keep[np.ix_(b, b)] = True
+        out = np.where(keep, x, 0.0)
+    elif phi.kind == "normalized-trace":
+        out = np.eye(d) * (np.trace(x, axis1=-2, axis2=-1) / d)[..., None, None]
+    elif phi.kind == "convex-combination":
+        out = None
         for w, part in phi.parts:
-            term = w * apply_map(part, a).data
-            acc = term if acc is None else acc + term
-        return SymMatrix(acc)
-    if phi.kind == "scale":
-        return SymMatrix(phi.factor * a.data)
-    if phi.kind == "sandwich":
-        inner = apply_map(phi.base, a).data
-        return SymMatrix(phi.frame @ inner @ phi.frame)
-    raise ValueError(f"unknown map kind {phi.kind!r}")
+            term = w * _apply_map(part, x)
+            out = term if out is None else out + term
+    elif phi.kind == "scale":
+        out = phi.factor * x
+    elif phi.kind == "sandwich":
+        out = phi.frame @ _apply_map(phi.base, x) @ phi.frame
+    else:
+        raise ValueError(f"unknown map kind {phi.kind!r}")
+    return _symmetrize(out)
+
+
+def apply_map(phi: MapDescriptor, a: SymMatrix) -> SymMatrix:
+    """Apply the map described by ``phi`` to ``a``."""
+    out = _apply_map(phi, a.data)
+    return a if out is a.data else SymMatrix._wrap(out)
 
 
 def is_unital(phi: MapDescriptor, dim: int | None = None, tol: float = 1e-10) -> bool:

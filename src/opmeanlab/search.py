@@ -3,19 +3,21 @@
 ``falsify`` replays the trial generator with hypothesis enforcement turned
 off, keeps the worst violation it sees, and labels the witness with any
 hypotheses the configuration breaks, so a "counterexample" to a statement
-used outside its scope is reported as exactly that.  ``refine`` runs a
+used outside its scope is reported as exactly that.  It runs on the trial
+engine of :mod:`opmeanlab.statements`: per-trial seeded draws, evaluated in
+fixed blocks.  ``refine`` runs a
 greedy random walk around a witness, clamping every candidate's spectrum
 back into the band, and only ever accepts strictly more negative gaps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .statements import StatementConfig, check, get_statement, hypothesis_violations, unitality_violations
-from .symmat import SymMatrix, random_spd
+from .statements import StatementConfig, check, hypothesis_violations, trial_blocks, unitality_violations
+from .symmat import SymMatrix
 
 __all__ = ["Witness", "falsify", "refine", "revalidate"]
 
@@ -55,52 +57,46 @@ def falsify(
     """Search ``budget`` random draws for a Loewner violation.
 
     Draws follow the same per-trial seeding as the trial driver, so a found
-    witness can be replayed from its trial index.  ``initial_matrices``
+    witness can be replayed from its trial index; like the trial driver,
+    the search evaluates its draws in fixed blocks.  ``initial_matrices``
     are evaluated first (by default with the band check skipped, matching
     how published witnesses are stored); random draws are always in band.
-    Returns the witness with the most negative ``gap_min_eig``, or None.
+    Returns the witness with the most negative ``gap_min_eig`` (the earliest
+    on ties), or None.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    info = get_statement(cfg.statement_id)
     labels = tuple(unitality_violations(cfg)) + tuple(hypothesis_violations(cfg))
-    n_inputs = cfg.n_matrices if info.multi else 2
     best = None
 
-    def consider(mats, index, band_checked):
-        nonlocal best
-        verdict = check(
-            cfg,
-            mats,
-            skip_band_check=not band_checked,
-            enforce_hypotheses=False,
+    def witness(mats, gap_min_eig, gap_det, index, band_checked):
+        return Witness(
+            config=cfg,
+            matrices=tuple(mats),
+            gap_min_eig=float(gap_min_eig),
+            gap_det=float(gap_det),
+            seed=seed,
+            trial_index=index,
+            band_checked=band_checked,
+            hypothesis_violations=labels,
         )
-        if not verdict.holds and (best is None or verdict.gap_min_eig < best.gap_min_eig):
-            best = Witness(
-                config=cfg,
-                matrices=tuple(mats),
-                gap_min_eig=verdict.gap_min_eig,
-                gap_det=verdict.gap_det,
-                seed=seed,
-                trial_index=index,
-                band_checked=band_checked,
-                hypothesis_violations=labels,
-            )
 
     start = 0
     if initial_matrices is not None:
         mats = [m if isinstance(m, SymMatrix) else SymMatrix(m) for m in initial_matrices]
-        consider(mats, -1, band_checked=not skip_band_check_initial)
+        verdict = check(cfg, mats, skip_band_check=skip_band_check_initial, enforce_hypotheses=False)
+        if not verdict.holds:
+            best = witness(mats, verdict.gap_min_eig, verdict.gap_det, -1, not skip_band_check_initial)
         start = 1
-    for i in range(start, budget):
-        rng = np.random.default_rng([seed, i])
-        mats = []
-        for _ in range(n_inputs):
-            pinned = bool(rng.random() < 0.5)
-            mats.append(random_spd(cfg.dim, cfg.band, pinned=pinned, rng=rng))
-        consider(mats, i, band_checked=True)
+    for first, x, verdict in trial_blocks(cfg, seed, start, budget):
+        gaps = np.where(verdict.holds, np.inf, verdict.gap_min_eig)
+        t = int(np.argmin(gaps))
+        if gaps[t] < (np.inf if best is None else best.gap_min_eig):
+            best = witness(
+                (SymMatrix(m) for m in x[t]), gaps[t], verdict.gap_det[t], first + t, True
+            )
     return best
 
 

@@ -9,6 +9,14 @@ to fail for some parameters; the trial driver reports both honestly.
 Trials are deterministic: trial ``i`` of a run seeded with ``s`` draws from
 ``numpy.random.default_rng([s, i])``, so any reported violation can be
 reproduced from ``(statement_id, config, s, i)`` alone.
+
+One engine evaluates every statement.  The draws stay per-trial streams,
+consumed one trial after another; evaluation is batched: the builders
+take ``(T, n, d, d)`` stacks of ``T`` trials' inputs and run each layer
+(map, mean, functional calculus, order check) once per block of up to
+``_BLOCK`` trials, giving every trial the bits it gets alone.  A statement's
+constants are computed once per run.  :func:`check` runs the same builders
+on one trial's ``(n, d, d)`` inputs.
 """
 
 from __future__ import annotations
@@ -27,22 +35,25 @@ from .functions import (
     midpoint_concave,
 )
 from .kubo_ando import (
+    _ALM_MAX_ITER,
+    _ALM_TOL,
     ARITHMETIC,
     GEOMETRIC,
     MeanDescriptor,
-    alm_mean,
+    _alm,
+    _binary_mean,
     is_between_harmonic_arithmetic,
-    mean,
 )
-from .linmaps import MapDescriptor, apply_map, identity_map, is_unital
+from .linmaps import MapDescriptor, _apply_map, identity_map, is_unital
 from .symmat import (
     PD_FLOOR,
     SpectralBand,
     SymMatrix,
-    apply_scalar,
-    loewner_leq,
-    random_spd,
-    validate_band,
+    _apply_scalar,
+    _first_out_of_band,
+    _loewner,
+    _symmetrize,
+    random_spd_trials,
 )
 
 __all__ = [
@@ -61,7 +72,14 @@ __all__ = [
     "unitality_violations",
     "check",
     "run_trials",
+    "seeded_inputs",
+    "trial_blocks",
 ]
+
+#: Trials evaluated together.  The draw, every builder layer and the order
+#: check run once per block, so a long run holds one block of inputs and
+#: intermediates at a time.
+_BLOCK = 256
 
 
 class UnknownStatementError(KeyError):
@@ -131,30 +149,62 @@ class TrialReport:
 
 @dataclass(frozen=True)
 class StatementInfo:
-    """Catalog entry: identifier, short description, input shape, builder."""
+    """Catalog entry: identifier, short description, input shape, builder.
+
+    ``constants(cfg, n)`` gives the constants a run with ``n`` inputs per
+    trial uses (and reports); ``build(cfg, constants, x)`` maps the inputs
+    ``x`` of shape ``(..., n, d, d)`` (any leading trial axes) to the
+    ``(..., e, e)`` left and right sides.
+    """
 
     statement_id: str
     summary: str
     multi: bool
     maps_used: tuple
     requires_unital: bool
+    constants: Callable
     build: Callable
 
 
-def _favg(mats):
-    return SymMatrix(sum(m.data for m in mats) / len(mats))
+# Stack layers.  Each mirrors one SymMatrix-valued step of a statement's
+# formula and symmetrizes exactly where that step's SymMatrix did.
+
+def _mean(sigma: MeanDescriptor, a, b):
+    return _symmetrize(_binary_mean(sigma.h, a, b))
 
 
-def _scaled(c: float, m: SymMatrix) -> SymMatrix:
-    return SymMatrix(c * m.data)
+def _pair(x):
+    """The two inputs ``A, B`` of each trial."""
+    return x[..., 0, :, :], x[..., 1, :, :]
 
 
-def _power(mat: SymMatrix, p: float) -> SymMatrix:
-    return apply_scalar(mat, lambda t: t**p)
+def _images(phi: MapDescriptor, x):
+    """Images of the pair ``A, B`` under ``phi``."""
+    return _pair(_apply_map(phi, x))
 
 
-def _fn_power(mat: SymMatrix, fn: ScalarFunction, p: float) -> SymMatrix:
-    return apply_scalar(mat, lambda t: fn(t) ** p)
+def _favg(x):
+    """Average of the ``n`` inputs of each trial."""
+    n = x.shape[-3]
+    return _symmetrize(sum(x[..., i, :, :] for i in range(n)) / n)
+
+
+def _scaled(c: float, x):
+    return _symmetrize(c * x)
+
+
+def _power(x, p: float):
+    return _apply_scalar(x, lambda t: t**p)
+
+
+def _fn_power(x, fn: ScalarFunction, p: float):
+    return _apply_scalar(x, lambda t: fn(t) ** p)
+
+
+def _geo_mean(x):
+    """Multi-matrix geometric mean of each trial's inputs."""
+    tuples = x.reshape((-1,) + x.shape[-3:])
+    return _symmetrize(_alm(tuples, _ALM_TOL, _ALM_MAX_ITER).reshape(x.shape[:-3] + x.shape[-2:]))
 
 
 def _require_positive(value: float, name: str):
@@ -167,180 +217,176 @@ def _require_nonnegative(value: float, name: str):
         raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
-# Builders. Each returns (lhs, rhs, constants_used).
+# Constants, computed once per run: (cfg, inputs per trial) -> value.
 
-def _build_ando(cfg, mats):
-    a, b = mats
-    lhs = apply_map(cfg.phi, mean(cfg.sigma, a, b))
-    rhs = mean(cfg.sigma, apply_map(cfg.phi, a), apply_map(cfg.phi, b))
-    return lhs, rhs, None
+def _no_constants(cfg, n):
+    return None
 
 
-def _build_ps11(cfg, mats):
-    a, b = mats
-    coeff = _const.polya_szego_coeff(cfg.band)
-    lhs = mean(GEOMETRIC, apply_map(cfg.phi, a), apply_map(cfg.phi, b))
-    rhs = _scaled(coeff, apply_map(cfg.phi, mean(GEOMETRIC, a, b)))
-    return lhs, rhs, coeff
+def _kantorovich(cfg, n):
+    return _const.kantorovich(cfg.band)
 
 
-def _two_sided_cores(cfg, mats, variant):
+def _two_function_scalar(cfg, n):
+    return float(cfg.f(cfg.band.M)) * float(cfg.g(1.0 / cfg.band.m))
+
+
+def _c23_scalar(cfg, n):
+    _require_positive(cfg.p, "exponent p")
+    return _two_function_scalar(cfg, n) ** cfg.p
+
+
+def _c27_scalar(cfg, n):
+    _require_nonnegative(cfg.p, "exponent p")
+    _require_nonnegative(cfg.q, "exponent q")
+    return cfg.band.M**cfg.p * cfg.band.m ** (-cfg.q)
+
+
+# Builders: (cfg, constants, x) -> (lhs, rhs) for inputs x of shape (..., n, d, d).
+
+def _build_ando(cfg, k, x):
+    lhs = _apply_map(cfg.phi, _mean(cfg.sigma, *_pair(x)))
+    rhs = _mean(cfg.sigma, *_images(cfg.phi, x))
+    return lhs, rhs
+
+
+def _build_ps11(cfg, k, x):
+    lhs = _mean(GEOMETRIC, *_images(cfg.phi, x))
+    rhs = _scaled(k, _apply_map(cfg.phi, _mean(GEOMETRIC, *_pair(x))))
+    return lhs, rhs
+
+
+def _two_sided_cores(cfg, x, variant):
     """Cores for the map-vs-mean order variants: 'outside' applies the map
     to each matrix and takes the mean of the images, 'inside' applies the
     map to the mean."""
-    a, b = mats
     if variant[0] == "outside":
-        left = mean(cfg.sigma, apply_map(cfg.phi, a), apply_map(cfg.phi, b))
+        left = _mean(cfg.sigma, *_images(cfg.phi, x))
     else:
-        left = apply_map(cfg.phi, mean(cfg.sigma, a, b))
+        left = _apply_map(cfg.phi, _mean(cfg.sigma, *_pair(x)))
     if variant[1] == "outside":
-        right = mean(cfg.tau, apply_map(cfg.psi, a), apply_map(cfg.psi, b))
+        right = _mean(cfg.tau, *_images(cfg.psi, x))
     else:
-        right = apply_map(cfg.psi, mean(cfg.tau, a, b))
+        right = _apply_map(cfg.psi, _mean(cfg.tau, *_pair(x)))
     return left, right
 
 
 def _build_t22(variant):
-    def build(cfg, mats):
-        left_core, right_core = _two_sided_cores(cfg, mats, variant)
-        scalar = float(cfg.f(cfg.band.M)) * float(cfg.g(1.0 / cfg.band.m))
-        lhs = apply_scalar(left_core, cfg.f)
-        rhs = _scaled(scalar, apply_scalar(right_core, cfg.g))
-        return lhs, rhs, scalar
+    def build(cfg, k, x):
+        left_core, right_core = _two_sided_cores(cfg, x, variant)
+        lhs = _apply_scalar(left_core, cfg.f)
+        rhs = _scaled(k, _apply_scalar(right_core, cfg.g))
+        return lhs, rhs
 
     return build
 
 
 def _build_c23(variant):
-    def build(cfg, mats):
-        _require_positive(cfg.p, "exponent p")
-        left_core, right_core = _two_sided_cores(cfg, mats, variant)
-        scalar = (float(cfg.f(cfg.band.M)) * float(cfg.g(1.0 / cfg.band.m))) ** cfg.p
+    def build(cfg, k, x):
+        left_core, right_core = _two_sided_cores(cfg, x, variant)
         lhs = _fn_power(left_core, cfg.f, cfg.p)
-        rhs = _scaled(scalar, _fn_power(right_core, cfg.g, cfg.p))
-        return lhs, rhs, scalar
+        rhs = _scaled(k, _fn_power(right_core, cfg.g, cfg.p))
+        return lhs, rhs
 
     return build
 
 
-def _build_c_multi(cfg, mats):
-    scalar = float(cfg.f(cfg.band.M)) * float(cfg.g(1.0 / cfg.band.m))
-    lhs = apply_scalar(apply_map(cfg.phi, _favg(mats)), cfg.f)
-    g_images = [apply_map(cfg.psi, m) for m in mats]
-    rhs = _scaled(scalar, apply_scalar(alm_mean(g_images), cfg.g))
-    return lhs, rhs, scalar
+def _build_c_multi(cfg, k, x):
+    lhs = _apply_scalar(_apply_map(cfg.phi, _favg(x)), cfg.f)
+    rhs = _scaled(k, _apply_scalar(_geo_mean(_apply_map(cfg.psi, x)), cfg.g))
+    return lhs, rhs
 
 
-def _build_ragm(cfg, mats):
-    coeff = cfg.band.ratio
-    lhs = _favg(mats)
-    rhs = _scaled(coeff, alm_mean(mats))
-    return lhs, rhs, coeff
+def _build_avg_vs_geo(cfg, k, x):
+    return _favg(x), _scaled(k, _geo_mean(x))
 
 
-def _build_yamazaki(cfg, mats):
-    coeff = _const.yamazaki_coeff(cfg.band, len(mats))
-    lhs = _favg(mats)
-    rhs = _scaled(coeff, alm_mean(mats))
-    return lhs, rhs, coeff
+def _build_c27(cfg, k, x):
+    lhs = _power(_mean(GEOMETRIC, *_images(cfg.phi, x)), cfg.p)
+    rhs = _scaled(k, _power(_apply_map(cfg.psi, _mean(GEOMETRIC, *_pair(x))), cfg.q))
+    return lhs, rhs
 
 
-def _build_c27(cfg, mats):
-    _require_nonnegative(cfg.p, "exponent p")
-    _require_nonnegative(cfg.q, "exponent q")
-    a, b = mats
-    scalar = cfg.band.M**cfg.p * cfg.band.m ** (-cfg.q)
-    lhs = _power(mean(GEOMETRIC, apply_map(cfg.phi, a), apply_map(cfg.phi, b)), cfg.p)
-    rhs = _scaled(scalar, _power(apply_map(cfg.psi, mean(GEOMETRIC, a, b)), cfg.q))
-    return lhs, rhs, scalar
+def _build_mond2(cfg, k, x):
+    lhs = _mean(cfg.sigma, *_images(cfg.phi, x))
+    rhs = _scaled(k, _apply_map(cfg.phi, _mean(cfg.sigma, *_pair(x))))
+    return lhs, rhs
 
 
-def _build_mond2(cfg, mats):
-    a, b = mats
-    alpha = _const.mp_alpha(cfg.sigma.h, cfg.band)
-    lhs = mean(cfg.sigma, apply_map(cfg.phi, a), apply_map(cfg.phi, b))
-    rhs = _scaled(alpha, apply_map(cfg.phi, mean(cfg.sigma, a, b)))
-    return lhs, rhs, alpha
+def _build_mp_gamma(cfg, k, x):
+    lhs = _apply_scalar(_mean(cfg.sigma, *_images(cfg.phi, x)), cfg.f)
+    rhs = _scaled(k.gamma, _apply_scalar(_apply_map(cfg.phi, _mean(cfg.sigma, *_pair(x))), cfg.g))
+    return lhs, rhs
 
 
-def _build_mp_gamma(cfg, mats):
-    a, b = mats
-    consts = _const.mp_gamma(cfg.f, cfg.g, cfg.sigma.h, cfg.band)
-    lhs = apply_scalar(mean(cfg.sigma, apply_map(cfg.phi, a), apply_map(cfg.phi, b)), cfg.f)
-    rhs = _scaled(consts.gamma, apply_scalar(apply_map(cfg.phi, mean(cfg.sigma, a, b)), cfg.g))
-    return lhs, rhs, consts
+def _build_hoa(cfg, k, x):
+    lhs = _mean(ARITHMETIC, *_images(cfg.phi, x))
+    rhs = _scaled(k, _apply_map(cfg.phi, _mean(cfg.sigma, *_pair(x))))
+    return lhs, rhs
 
 
-def _build_hoa(cfg, mats):
-    a, b = mats
-    coeff = _const.kantorovich(cfg.band)
-    lhs = mean(ARITHMETIC, apply_map(cfg.phi, a), apply_map(cfg.phi, b))
-    rhs = _scaled(coeff, apply_map(cfg.phi, mean(cfg.sigma, a, b)))
-    return lhs, rhs, coeff
+def _build_t210(cfg, k, x):
+    lhs = _mean(cfg.tau, *_pair(_apply_scalar(_apply_map(cfg.phi, x), cfg.f)))
+    rhs = _scaled(k, _apply_scalar(_apply_map(cfg.phi, _mean(cfg.sigma, *_pair(x))), cfg.f))
+    return lhs, rhs
 
 
-def _build_t210(cfg, mats):
-    a, b = mats
-    coeff = _const.kantorovich(cfg.band)
-    fa = apply_scalar(apply_map(cfg.phi, a), cfg.f)
-    fb = apply_scalar(apply_map(cfg.phi, b), cfg.f)
-    lhs = mean(cfg.tau, fa, fb)
-    rhs = _scaled(coeff, apply_scalar(apply_map(cfg.phi, mean(cfg.sigma, a, b)), cfg.f))
-    return lhs, rhs, coeff
+def _q2(force_p=None):
+    def exponent(cfg):
+        return cfg.p if force_p is None else force_p
+
+    def constants(cfg, n):
+        _require_nonnegative(exponent(cfg), "exponent p")
+        return _const.kantorovich(cfg.band)
+
+    def build(cfg, k, x):
+        p = exponent(cfg)
+        lhs = _favg(_power(x, p))
+        rhs = _scaled(k, _power(_mean(GEOMETRIC, *_pair(x)), p))
+        return lhs, rhs
+
+    return constants, build
 
 
-def _build_q2(force_p=None):
-    def build(cfg, mats):
-        p = cfg.p if force_p is None else force_p
-        _require_nonnegative(p, "exponent p")
-        a, b = mats
-        coeff = _const.kantorovich(cfg.band)
-        lhs = _favg([_power(a, p), _power(b, p)])
-        rhs = _scaled(coeff, _power(mean(GEOMETRIC, a, b), p))
-        return lhs, rhs, coeff
-
-    return build
+def _build_big_q(cfg, k, x):
+    a, b = _pair(x)
+    lhs = _power(_mean(ARITHMETIC, a, b), 2.0)
+    rhs = _scaled(k, _power(_mean(GEOMETRIC, a, b), 2.0))
+    return lhs, rhs
 
 
-def _build_big_q(cfg, mats):
-    a, b = mats
-    coeff = _const.kantorovich(cfg.band)
-    lhs = _power(mean(ARITHMETIC, a, b), 2.0)
-    rhs = _scaled(coeff, _power(mean(GEOMETRIC, a, b), 2.0))
-    return lhs, rhs, coeff
+def _build_aahh(cfg, k, x):
+    a, b = _pair(x)
+    lhs = _apply_scalar(_mean(cfg.sigma, a, b), cfg.f)
+    rhs = _apply_scalar(_mean(ARITHMETIC, a, b), cfg.f)
+    return lhs, rhs
 
 
-def _build_aahh(cfg, mats):
-    a, b = mats
-    lhs = apply_scalar(mean(cfg.sigma, a, b), cfg.f)
-    rhs = apply_scalar(mean(ARITHMETIC, a, b), cfg.f)
-    return lhs, rhs, None
-
-
-def _build_add_reverse(cfg, mats):
-    a, b = mats
-    lhs = apply_scalar(mean(ARITHMETIC, a, b), cfg.f)
+def _build_add_reverse(cfg, k, x):
+    a, b = _pair(x)
+    lhs = _apply_scalar(_mean(ARITHMETIC, a, b), cfg.f)
     # A # B + |I - A^(-1/2) B A^(-1/2)| / 2 conjugated back by A^(1/2) is a
     # single spectral transform of C = A^(-1/2) B A^(-1/2).
-    half = apply_scalar(a, np.sqrt)
-    inv_half = apply_scalar(a, lambda t: 1.0 / np.sqrt(t), domain_min=PD_FLOOR)
-    c = SymMatrix(inv_half.data @ b.data @ inv_half.data)
-    core = apply_scalar(c, lambda t: np.sqrt(t) + 0.5 * np.abs(1.0 - t))
-    corrected = SymMatrix(half.data @ core.data @ half.data)
-    rhs = apply_scalar(corrected, cfg.f)
-    return lhs, rhs, None
+    half = _apply_scalar(a, np.sqrt)
+    inv_half = _apply_scalar(a, lambda t: 1.0 / np.sqrt(t), domain_min=PD_FLOOR)
+    c = _symmetrize(inv_half @ b @ inv_half)
+    core = _apply_scalar(c, lambda t: np.sqrt(t) + 0.5 * np.abs(1.0 - t))
+    corrected = _symmetrize(half @ core @ half)
+    rhs = _apply_scalar(corrected, cfg.f)
+    return lhs, rhs
 
 
 _CATALOG: dict = {}
 
 
-def _register(statement_id, summary, build, multi=False, maps_used=(), requires_unital=False):
+def _register(statement_id, summary, constants, build, multi=False, maps_used=(), requires_unital=False):
     _CATALOG[statement_id] = StatementInfo(
         statement_id=statement_id,
         summary=summary,
         multi=multi,
         maps_used=tuple(maps_used),
         requires_unital=requires_unital,
+        constants=constants,
         build=build,
     )
 
@@ -348,12 +394,14 @@ def _register(statement_id, summary, build, multi=False, maps_used=(), requires_
 _register(
     "ando",
     "positive maps are subadditive across operator means: Phi(A s B) <= Phi(A) s Phi(B)",
+    _no_constants,
     _build_ando,
     maps_used=("phi",),
 )
 _register(
     "ps-1.1",
     "geometric-mean reverse: Phi(A) # Phi(B) <= ((M+m)/(2 sqrt(Mm))) Phi(A # B)",
+    lambda cfg, n: _const.polya_szego_coeff(cfg.band),
     _build_ps11,
     maps_used=("phi",),
 )
@@ -370,6 +418,7 @@ for _variant, _letter in (
         + ") <= f(M) g(1/m) g("
         + ("mean of images" if _variant[1] == "outside" else "image of mean")
         + ")",
+        _two_function_scalar,
         _build_t22(_variant),
         maps_used=("phi", "psi"),
         requires_unital=True,
@@ -377,6 +426,7 @@ for _variant, _letter in (
     _register(
         f"c23-{_letter}",
         "p-th power variant of the two-function reverse",
+        _c23_scalar,
         _build_c23(_variant),
         maps_used=("phi", "psi"),
         requires_unital=True,
@@ -384,6 +434,7 @@ for _variant, _letter in (
 _register(
     "c-multi",
     "multi-matrix reverse: f(Phi(avg)) <= f(M) g(1/m) g(geo-mean of Psi images)",
+    _two_function_scalar,
     _build_c_multi,
     multi=True,
     maps_used=("phi", "psi"),
@@ -392,18 +443,21 @@ _register(
 _register(
     "ragm",
     "crude reverse arithmetic-geometric comparison with ratio M/m",
-    _build_ragm,
+    lambda cfg, n: cfg.band.ratio,
+    _build_avg_vs_geo,
     multi=True,
 )
 _register(
     "yamazaki",
     "reverse arithmetic-geometric comparison with coefficient K^((n-1)/2)",
-    _build_yamazaki,
+    lambda cfg, n: _const.yamazaki_coeff(cfg.band, n),
+    _build_avg_vs_geo,
     multi=True,
 )
 _register(
     "c27",
     "power-exponent reverse (Phi(A) # Phi(B))^p <= M^p m^(-q) (Psi(A # B))^q",
+    _c27_scalar,
     _build_c27,
     maps_used=("phi", "psi"),
     requires_unital=True,
@@ -411,6 +465,7 @@ _register(
 _register(
     "mond2",
     "calibrated reverse Phi(A) s Phi(B) <= alpha Phi(A s B)",
+    lambda cfg, n: _const.mp_alpha(cfg.sigma.h, cfg.band),
     _build_mond2,
     maps_used=("phi",),
     requires_unital=True,
@@ -418,6 +473,7 @@ _register(
 _register(
     "mp-gamma",
     "two-function calibrated reverse f(Phi(A) s Phi(B)) <= gamma g(Phi(A s B))",
+    lambda cfg, n: _const.mp_gamma(cfg.f, cfg.g, cfg.sigma.h, cfg.band),
     _build_mp_gamma,
     maps_used=("phi",),
     requires_unital=True,
@@ -425,6 +481,7 @@ _register(
 _register(
     "hoa",
     "arithmetic mean of images vs K times image of an intermediate mean",
+    _kantorovich,
     _build_hoa,
     maps_used=("phi",),
     requires_unital=True,
@@ -432,6 +489,7 @@ _register(
 _register(
     "t210",
     "f-image means: f(Phi(A)) t f(Phi(B)) <= K f(Phi(A s B))",
+    _kantorovich,
     _build_t210,
     maps_used=("phi",),
     requires_unital=True,
@@ -439,26 +497,29 @@ _register(
 _register(
     "q2",
     "power comparison (A^p + B^p)/2 <= K (A # B)^p; a theorem only for p in [0, 1]",
-    _build_q2(),
+    *_q2(),
 )
 _register(
     "q2sq",
     "the p = 2 instance of q2, which fails for some inputs",
-    _build_q2(force_p=2.0),
+    *_q2(force_p=2.0),
 )
 _register(
     "Q",
     "squared arithmetic vs Kantorovich-scaled squared geometric mean; fails for some inputs",
+    _kantorovich,
     _build_big_q,
 )
 _register(
     "aahh",
     "f of a smaller mean vs f of the arithmetic mean, for operator monotone f",
+    _no_constants,
     _build_aahh,
 )
 _register(
     "add-reverse",
     "arithmetic mean vs geometric mean plus half the conjugated residual |I - C|",
+    _no_constants,
     _build_add_reverse,
 )
 
@@ -541,6 +602,20 @@ def hypothesis_violations(cfg: StatementConfig) -> tuple:
     return tuple(labels)
 
 
+def _require_count(info: StatementInfo, n: int):
+    if info.multi:
+        if n < 2:
+            raise ValueError(f"statement {info.statement_id!r} needs at least two matrices")
+    elif n != 2:
+        raise ValueError(f"statement {info.statement_id!r} takes exactly two matrices")
+
+
+def _require_in_band(x: np.ndarray, band: SpectralBand):
+    report = _first_out_of_band(x, band)
+    if report is not None:
+        raise BandViolationError(report.offending_summary())
+
+
 def check(
     cfg: StatementConfig,
     matrices: Sequence[SymMatrix],
@@ -548,7 +623,7 @@ def check(
     skip_band_check: bool = False,
     enforce_hypotheses: bool = True,
 ) -> Verdict:
-    """Evaluate one statement on explicit matrices.
+    """Evaluate one statement on explicit matrices, as one trial of the engine.
 
     Band membership is validated unless ``skip_band_check`` is set (the
     published witnesses need that: at four printed decimals their spectra
@@ -558,35 +633,64 @@ def check(
     """
     info = get_statement(cfg.statement_id)
     mats = [m if isinstance(m, SymMatrix) else SymMatrix(m) for m in matrices]
-    if info.multi:
-        if len(mats) < 2:
-            raise ValueError(f"statement {info.statement_id!r} needs at least two matrices")
-    elif len(mats) != 2:
-        raise ValueError(f"statement {info.statement_id!r} takes exactly two matrices")
+    _require_count(info, len(mats))
     dim = mats[0].dim
     for m in mats[1:]:
         if m.dim != dim:
             raise ValueError("all input matrices must share one dimension")
+    x = np.array([m.data for m in mats])
     if not skip_band_check:
-        report = validate_band(mats, cfg.band)
-        if not report.passed:
-            raise BandViolationError(report.offending_summary())
+        _require_in_band(x[None], cfg.band)
     if enforce_hypotheses:
         bad = unitality_violations(cfg)
         if bad:
             raise UnitalityError("; ".join(bad))
-    lhs, rhs, consts = info.build(cfg, mats)
-    verdict = loewner_leq(lhs, rhs, tol)
+    consts = info.constants(cfg, len(mats))
+    lhs, rhs = info.build(cfg, consts, x)
+    verdict = _loewner(lhs, rhs, tol)
     return Verdict(
         statement_id=info.statement_id,
-        holds=verdict.holds,
-        gap_min_eig=verdict.gap_min_eig,
-        gap_det=verdict.gap_det,
-        lhs=lhs,
-        rhs=rhs,
+        holds=bool(verdict.holds),
+        gap_min_eig=float(verdict.gap_min_eig),
+        gap_det=float(verdict.gap_det),
+        lhs=SymMatrix._wrap(lhs),
+        rhs=SymMatrix._wrap(rhs),
         constants_used=consts,
-        tol=verdict.tol_used,
+        tol=float(verdict.tol_used),
     )
+
+
+def seeded_inputs(cfg: StatementConfig, seed: int, start: int, stop: int) -> np.ndarray:
+    """The drawn inputs of trials ``start .. stop - 1`` of a run seeded
+    ``seed``, as a ``(stop - start, n, dim, dim)`` stack (n is 2, or
+    ``cfg.n_matrices`` for a multi-matrix statement); see
+    :func:`~opmeanlab.symmat.random_spd_trials`."""
+    n = cfg.n_matrices if get_statement(cfg.statement_id).multi else 2
+    # a count below two draws what it asks for (nothing if negative) and
+    # is rejected where the inputs are evaluated
+    return random_spd_trials(cfg.dim, cfg.band, max(n, 0), seed, start, stop)
+
+
+def trial_blocks(cfg: StatementConfig, seed: int, start: int, stop: int):
+    """Evaluate the seeded trials ``start .. stop - 1`` in blocks.
+
+    Yields ``(first, x, verdict)`` per block of up to ``_BLOCK`` trials:
+    ``x`` is the block's ``(T, n, d, d)`` input stack (trial ``first + t``
+    is ``x[t]``) and ``verdict`` an :class:`~opmeanlab.symmat.OrderVerdict`
+    of arrays over the block.  Draws stay per-trial streams; every trial is
+    band-checked and gets the bits :func:`check` gives it alone.  Hypotheses
+    are not enforced here; the statement's constants are computed once.
+    """
+    if stop <= start:
+        return
+    info = get_statement(cfg.statement_id)
+    n = cfg.n_matrices if info.multi else 2
+    _require_count(info, n)
+    consts = info.constants(cfg, n)
+    for first in range(start, stop, _BLOCK):
+        x = seeded_inputs(cfg, seed, first, min(first + _BLOCK, stop))
+        _require_in_band(x, cfg.band)
+        yield first, x, _loewner(*info.build(cfg, consts, x))
 
 
 def run_trials(cfg: StatementConfig, trials: int, seed: int) -> TrialReport:
@@ -596,7 +700,9 @@ def run_trials(cfg: StatementConfig, trials: int, seed: int) -> TrialReport:
     hypotheses reject every trial up front (the report says why) so a
     clean run always means the statement was tested inside its scope.
     Matrices are pinned to the band edges with probability one half each,
-    which keeps the constants honest for roughly half the draws.
+    which keeps the constants honest for roughly half the draws.  Each
+    trial draws from its own seeded stream; evaluation runs in fixed
+    blocks of trials through :func:`trial_blocks`.
     """
     if trials < 0:
         raise ValueError("trial count must be nonnegative")
@@ -619,26 +725,19 @@ def run_trials(cfg: StatementConfig, trials: int, seed: int) -> TrialReport:
             witnesses=(),
             hypothesis_violations=hyp,
         )
-    n_inputs = cfg.n_matrices if info.multi else 2
-    if info.multi and n_inputs < 2:
+    if info.multi and cfg.n_matrices < 2:
         raise ValueError("n_matrices must be at least 2")
     violations = []
     worst = np.inf
-    for i in range(trials):
-        rng = np.random.default_rng([seed, i])
-        mats = []
-        for _ in range(n_inputs):
-            pinned = bool(rng.random() < 0.5)
-            mats.append(random_spd(cfg.dim, cfg.band, pinned=pinned, rng=rng))
-        verdict = check(cfg, mats, skip_band_check=False, enforce_hypotheses=False)
-        worst = min(worst, verdict.gap_min_eig)
-        if not verdict.holds:
+    for first, x, verdict in trial_blocks(cfg, seed, 0, trials):
+        worst = min(worst, verdict.gap_min_eig.min())
+        for t in np.flatnonzero(~verdict.holds):
             violations.append(
                 TrialViolation(
-                    trial_index=i,
-                    matrices=tuple(mats),
-                    gap_min_eig=verdict.gap_min_eig,
-                    gap_det=verdict.gap_det,
+                    trial_index=first + int(t),
+                    matrices=tuple(SymMatrix(m) for m in x[t]),
+                    gap_min_eig=float(verdict.gap_min_eig[t]),
+                    gap_det=float(verdict.gap_det[t]),
                 )
             )
     return TrialReport(

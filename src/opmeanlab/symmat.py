@@ -5,6 +5,10 @@ checks) reduces to the functional calculus of real symmetric matrices:
 eigendecompose, transform the spectrum, reassemble.  This module owns the
 value types, the Loewner order check, spectral bands, and seeded random
 generation of positive definite matrices with a prescribed spectrum.
+
+The kernels behind the public functions work on stacks ``(..., d, d)``
+and give every matrix of a stack the bits it gets alone, so the trial
+engine can evaluate a block of trials in one call per layer.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ __all__ = [
     "spectral_band_of",
     "validate_band",
     "random_spd",
+    "random_spd_trials",
     "op_norm",
 ]
 
@@ -73,11 +78,17 @@ class SymMatrix:
             raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise DimensionMismatchError("dimension must be at least 1")
-        if not np.isfinite(a).all():
-            raise ValueError("matrix entries must be finite")
-        data = (a + a.T) / 2.0
+        data = _symmetrize(a)
         data.setflags(write=False)
         self.data = data
+
+    @classmethod
+    def _wrap(cls, data: np.ndarray) -> "SymMatrix":
+        """Adopt ``data``, already symmetrized by :func:`_symmetrize`, without a copy."""
+        out = cls.__new__(cls)
+        data.setflags(write=False)
+        out.data = data
+        return out
 
     @classmethod
     def identity(cls, dim: int) -> "SymMatrix":
@@ -174,6 +185,31 @@ class BandReport:
         return "; ".join(parts) if parts else "all matrices inside band"
 
 
+def _symmetrize(x: np.ndarray) -> np.ndarray:
+    """``(X + X^T) / 2`` over a stack ``(..., d, d)`` of finite matrices.
+
+    This is how :class:`SymMatrix` stores its entries; on a matrix that is
+    already symmetric it changes no bit.
+    """
+    if not np.isfinite(x).all():
+        raise ValueError("matrix entries must be finite")
+    return (x + x.mT) / 2.0
+
+
+def _eigh(x: np.ndarray):
+    """``np.linalg.eigh`` over a stack, with convergence failures raised as
+    :class:`EigenConvergenceError` carrying the largest off-diagonal norm."""
+    try:
+        return np.linalg.eigh(x)
+    except np.linalg.LinAlgError as exc:
+        off = x * (1.0 - np.eye(x.shape[-1]))
+        norm = np.linalg.norm(off, axis=(-2, -1)).max()
+        raise EigenConvergenceError(
+            "symmetric eigensolver did not converge "
+            f"(off-diagonal Frobenius norm {norm:.3e})"
+        ) from exc
+
+
 def eig_sym(a: SymMatrix) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
@@ -181,15 +217,28 @@ def eig_sym(a: SymMatrix) -> EigenDecomposition:
     pathological inputs only) raises :class:`EigenConvergenceError` carrying
     the off-diagonal residual of the input.
     """
-    try:
-        w, q = np.linalg.eigh(a.data)
-    except np.linalg.LinAlgError as exc:
-        off = a.data - np.diag(np.diagonal(a.data))
-        raise EigenConvergenceError(
-            "symmetric eigensolver did not converge "
-            f"(off-diagonal Frobenius norm {np.linalg.norm(off):.3e})"
-        ) from exc
+    w, q = _eigh(a.data)
     return EigenDecomposition(eigenvalues=w, eigenvectors=q)
+
+
+def _apply_scalar(x: np.ndarray, f: Callable, domain_min: float | None = None) -> np.ndarray:
+    """:func:`apply_scalar` over a stack ``(..., d, d)``, symmetrized.
+
+    Errors name the smallest offending eigenvalue of the whole stack.
+    """
+    w, q = _eigh(x)
+    if domain_min is not None and (low := w[..., 0].min()) <= domain_min:
+        raise SpectrumDomainError(
+            f"eigenvalue {low:.6e} is at or below the domain floor {domain_min:.3e}"
+        )
+    with np.errstate(all="ignore"):
+        fw = np.asarray(f(w), dtype=float)
+    if fw.shape != w.shape:
+        raise SpectrumDomainError("scalar function must map eigenvalues elementwise")
+    if not np.isfinite(fw).all():
+        bad = w[~np.isfinite(fw)][0]
+        raise SpectrumDomainError(f"scalar function is undefined at eigenvalue {bad!r}")
+    return _symmetrize((q * fw[..., None, :]) @ q.mT)
 
 
 def apply_scalar(
@@ -199,29 +248,15 @@ def apply_scalar(
 ) -> SymMatrix:
     """Apply a scalar function to ``a`` through its spectral decomposition.
 
-    Returns ``Q f(w) Q^T`` where ``A = Q diag(w) Q^T``.  ``f`` must accept a
-    1-d array of eigenvalues and map it elementwise.
+    Returns ``Q f(w) Q^T`` where ``A = Q diag(w) Q^T``.  ``f`` must accept an
+    array of eigenvalues and map it elementwise.
 
     ``domain_min`` guards functions that are undefined at or below a
     spectrum floor (inverse powers, logarithms): any eigenvalue at or below
     it raises :class:`SpectrumDomainError` naming the offending eigenvalue.
     Non-finite outputs of ``f`` raise the same error.
     """
-    dec = eig_sym(a)
-    w = dec.eigenvalues
-    if domain_min is not None and w[0] <= domain_min:
-        raise SpectrumDomainError(
-            f"eigenvalue {w[0]:.6e} is at or below the domain floor {domain_min:.3e}"
-        )
-    with np.errstate(all="ignore"):
-        fw = np.asarray(f(w), dtype=float)
-    if fw.shape != w.shape:
-        raise SpectrumDomainError("scalar function must map eigenvalues elementwise")
-    if not np.isfinite(fw).all():
-        bad = w[~np.isfinite(fw)][0]
-        raise SpectrumDomainError(f"scalar function is undefined at eigenvalue {bad!r}")
-    q = dec.eigenvectors
-    return SymMatrix((q * fw) @ q.T)
+    return SymMatrix._wrap(_apply_scalar(a.data, f, domain_min))
 
 
 def congruence(a: SymMatrix, t) -> SymMatrix:
@@ -244,6 +279,28 @@ def op_norm(a: SymMatrix) -> float:
     return float(max(abs(w[0]), abs(w[-1])))
 
 
+def _loewner(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> OrderVerdict:
+    """:func:`loewner_leq` over stacks ``(..., d, d)``; the verdict's fields
+    are arrays over the leading axes.  One ``eigvalsh`` call serves the gap
+    and, for the default tolerance, both operator norms."""
+    if a.shape[-1] != b.shape[-1]:
+        raise DimensionMismatchError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+    if tol is None:
+        w, wa, wb = np.linalg.eigvalsh(np.stack((b - a, a, b)))
+        norm_a = np.maximum(np.abs(wa[..., 0]), np.abs(wa[..., -1]))
+        norm_b = np.maximum(np.abs(wb[..., 0]), np.abs(wb[..., -1]))
+        tol = 1e-9 * (1.0 + np.maximum(norm_a, norm_b))
+    else:
+        w = np.linalg.eigvalsh(b - a)
+        tol = np.full(w.shape[:-1], float(tol))
+    return OrderVerdict(
+        holds=w[..., 0] >= -tol,
+        gap_min_eig=w[..., 0],
+        gap_det=np.prod(w, axis=-1),
+        tol_used=tol,
+    )
+
+
 def loewner_leq(a: SymMatrix, b: SymMatrix, tol: float | None = None) -> OrderVerdict:
     """Check ``a <= b`` in the Loewner (positive semidefinite) order.
 
@@ -253,15 +310,12 @@ def loewner_leq(a: SymMatrix, b: SymMatrix, tol: float | None = None) -> OrderVe
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    gap = b.data - a.data
-    w = np.linalg.eigvalsh(gap)
-    if tol is None:
-        tol = 1e-9 * (1.0 + max(op_norm(a), op_norm(b)))
+    v = _loewner(a.data, b.data, tol)
     return OrderVerdict(
-        holds=bool(w[0] >= -tol),
-        gap_min_eig=float(w[0]),
-        gap_det=float(np.prod(w)),
-        tol_used=float(tol),
+        holds=bool(v.holds),
+        gap_min_eig=float(v.gap_min_eig),
+        gap_det=float(v.gap_det),
+        tol_used=float(v.tol_used),
     )
 
 
@@ -299,12 +353,29 @@ def validate_band(
     """
     if tol is None:
         tol = 1e-9 * (1.0 + band.M)
+    return _band_report([np.linalg.eigvalsh(a.data) for a in mats], band, tol)
+
+
+def _band_report(eigenvalues, band: SpectralBand, tol: float) -> BandReport:
     checks = []
-    for i, a in enumerate(mats):
-        w = np.linalg.eigvalsh(a.data)
+    for i, w in enumerate(eigenvalues):
         bad = w[(w < band.m - tol) | (w > band.M + tol)]
         checks.append(BandCheck(index=i, ok=bad.size == 0, eigenvalues=w, offending=bad))
     return BandReport(band=band, tol=float(tol), checks=tuple(checks))
+
+
+def _first_out_of_band(x: np.ndarray, band: SpectralBand) -> BandReport | None:
+    """Band check of a ``(T, k, d, d)`` stack of ``T`` groups of ``k``
+    matrices with one ``eigvalsh`` call, at :func:`validate_band`'s default
+    tolerance.  Returns the report of the first group with an eigenvalue
+    outside the band, or None when every matrix is inside."""
+    tol = 1e-9 * (1.0 + band.M)
+    w = np.linalg.eigvalsh(x)
+    outside = (w < band.m - tol) | (w > band.M + tol)
+    if not outside.any():
+        return None
+    first = int(np.flatnonzero(outside.reshape(len(w), -1).any(axis=1))[0])
+    return _band_report(w[first], band, tol)
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -332,13 +403,51 @@ def random_spd(
     if dim < 1:
         raise DimensionMismatchError("dimension must be at least 1")
     gen = _as_generator(rng)
-    w = gen.uniform(band.m, band.M, size=dim)
+    w = np.empty(dim)
+    g = np.empty((dim, dim))
+    _draw_into(gen, band, pinned, w, g)
+    return SymMatrix._wrap(_conjugate_spectra(w, g))
+
+
+def random_spd_trials(
+    dim: int, band: SpectralBand, count: int, seed: int, start: int, stop: int
+) -> np.ndarray:
+    """The seeded inputs of trials ``start .. stop - 1``, as a
+    ``(stop - start, count, dim, dim)`` stack.
+
+    Trial ``i`` draws from its own stream ``numpy.random.default_rng([seed,
+    i])``: for each of its ``count`` matrices, a pin flag (probability one
+    half) and then what :func:`random_spd` draws with that flag.  The
+    streams are consumed one trial at a time, in that order; the QR
+    factorizations, sign fixes and reassemblies run once over the stack.
+    Every matrix is bitwise the one :func:`random_spd` returns from the same
+    stream state.
+    """
+    if dim < 1:
+        raise DimensionMismatchError("dimension must be at least 1")
+    w = np.empty((stop - start, count, dim))
+    g = np.empty((stop - start, count, dim, dim))
+    for t in range(stop - start):
+        gen = np.random.default_rng([seed, start + t])
+        for k in range(count):
+            _draw_into(gen, band, bool(gen.random() < 0.5), w[t, k], g[t, k])
+    return _conjugate_spectra(w, g)
+
+
+def _draw_into(gen: np.random.Generator, band: SpectralBand, pinned: bool, w, g) -> None:
+    """Fill ``w`` with uniform eigenvalues (extremes pinned to the band edges
+    if asked) and then ``g`` with a Gaussian matrix, from ``gen``."""
+    w[:] = gen.uniform(band.m, band.M, size=len(w))
     if pinned:
         w.sort()
         w[0] = band.m
         w[-1] = band.M
-    g = gen.standard_normal((dim, dim))
+    gen.standard_normal(out=g)
+
+
+def _conjugate_spectra(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``Q diag(w) Q^T`` over stacks, with ``Q`` the sign-fixed (Haar) QR
+    factor of the Gaussian matrix ``g``."""
     q, r = np.linalg.qr(g)
-    signs = np.where(np.diagonal(r) >= 0.0, 1.0, -1.0)
-    q = q * signs
-    return SymMatrix((q * w) @ q.T)
+    q = q * np.where(np.diagonal(r, axis1=-2, axis2=-1) >= 0.0, 1.0, -1.0)[..., None, :]
+    return _symmetrize((q * w[..., None, :]) @ q.mT)

@@ -166,3 +166,54 @@ class TestYamazakiCoeff:
     def test_needs_two(self):
         with pytest.raises(ValueError):
             ol.yamazaki_coeff(BAND_12, 1)
+
+
+# The five bands of the criterion-5 grid, and the values mp_alpha and
+# mp_gamma returned on them before mp_gamma shared chord_ratio_max's
+# grid-plus-golden-section maximiser.  The constants calibrate every
+# mond2/mp-gamma verdict, so they are pinned to the bit.
+SWEEP_BANDS = [(1.0, 2.0), (0.5, 2.0), (1.0, 4.0), (2.0, 5.0), (0.8, 1.6)]
+
+PINNED_ALPHA = {
+    "geometric": ["0x1.0f876ccdf6cd9p+0", "0x1.4000000000000p+0", "0x1.4000000000000p+0",
+                  "0x1.1b570f5ff3fedp+0", "0x1.0f876ccdf6cd9p+0"],
+    "harmonic": ["0x1.2000000000001p+0", "0x1.8ffffffffffffp+0", "0x1.8ffffffffffffp+0",
+                 "0x1.3999999999999p+0", "0x1.2000000000001p+0"],
+    "arithmetic": ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+                   "0x1.0000000000001p+0", "0x1.0000000000000p+0"],
+    "geometric:0.3": ["0x1.0cf80b26c0ae3p+0", "0x1.3491a723cc0f7p+0", "0x1.3491a723cc0f7p+0",
+                      "0x1.16bc724f3799bp+0", "0x1.0cf80b26c0ae3p+0"],
+    "arithmetic:0.7": ["0x1.0000000000002p+0", "0x1.0000000000002p+0", "0x1.0000000000002p+0",
+                       "0x1.0000000000001p+0", "0x1.0000000000002p+0"],
+}
+
+PINNED_GAMMA = {
+    ("identity", "identity", "geometric"): ["0x1.0f876ccdf6cd9p+0", "0x1.4000000000000p+0", "0x1.4000000000000p+0",
+                                            "0x1.1b570f5ff3fedp+0", "0x1.0f876ccdf6cd9p+0"],
+    ("power:2", "power:0.5", "harmonic"): ["0x1.833e4aa120959p+1", "0x1.dc5dde52e2642p+1", "0x1.50d79435e50d8p+3",
+                                           "0x1.9320d81b10163p+3", "0x1.1516b98717970p+1"],
+    ("expm1", "power:0.3", "arithmetic"): ["0x1.4c21323118f7bp+2", "0x1.4c21323118f7cp+2", "0x1.1ae48a13aeeb0p+5",
+                                           "0x1.6bd5ecc254e83p+6", "0x1.b771dfd9d893dp+1"],
+    ("power:0.5", "identity", "geometric"): ["0x1.0f876ccdf6cd9p+0", "0x1.c48c6001f0ac0p+0", "0x1.4000000000000p+0",
+                                             "0x1.90b410d07f01ep-1", "0x1.2f9422c23c47dp+0"],
+}
+
+
+class TestPinnedSweepConstants:
+    @pytest.mark.parametrize("name", sorted(PINNED_ALPHA))
+    def test_mp_alpha(self, name):
+        from opmeanlab.cli import parse_mean
+
+        h = parse_mean(name).h
+        got = [ol.mp_alpha(h, SpectralBand(m, M)).hex() for m, M in SWEEP_BANDS]
+        assert got == PINNED_ALPHA[name]
+
+    @pytest.mark.parametrize("combo", sorted(PINNED_GAMMA))
+    def test_mp_gamma(self, combo):
+        from opmeanlab.cli import parse_function, parse_mean
+
+        f, g, sigma = parse_function(combo[0]), parse_function(combo[1]), parse_mean(combo[2])
+        for (m, M), gamma in zip(SWEEP_BANDS, PINNED_GAMMA[combo]):
+            consts = ol.mp_gamma(f, g, sigma.h, SpectralBand(m, M))
+            assert consts.gamma.hex() == gamma
+            assert consts.alpha.hex() == ol.mp_alpha(sigma.h, SpectralBand(m, M)).hex()
