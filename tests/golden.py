@@ -13,8 +13,9 @@ numbers moved and why::
     PYTHONPATH=src python tests/golden.py          # rewrite every file
     PYTHONPATH=src python tests/golden.py trials-ps11   # rewrite one
 
-The matrix files ``A.txt``, ``B.txt`` and ``C.txt`` in the same directory
-are fixed inputs, not outputs, and are never rewritten.
+The matrix files ``A.txt``, ``B.txt``, ``C.txt`` and the compression frame
+``V.txt`` in the same directory are fixed inputs, not outputs, and are
+never rewritten.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ CLI_CASES = {
     "check-seeded-ps11": ["check", "ps-1.1", "--dim", "3", "--phi", "pinch:0,1|2", "--seed", "11"],
     "check-seeded-yamazaki": ["check", "yamazaki", "--dim", "2", "--n-matrices", "4", "--band", "0.5:2", "--seed", "2"],
     "check-seeded-q2sq": ["check", "q2sq", "--band", "0.4:3", "--seed", "3", "--expect-violation"],
+    "check-seeded-hoa-trace": ["check", "hoa", "--band", "1:4", "--dim", "5", "--phi", "trace", "--seed", "5"],
     "check-files-mp-gamma": ["check", "mp-gamma", "--band", "0.9:2.1", "--dim", "3", "--sigma", "harmonic",
                              "--f", "power:2", "--g", "power:0.5", "--matrices", "A.txt", "B.txt"],
     "check-files-c-multi": ["check", "c-multi", "--band", "0.9:2.1", "--dim", "3", "--g", "power:0.5",
@@ -47,6 +49,11 @@ CLI_CASES = {
     "trials-c-multi": ["trials", "c-multi", "--band", "0.5:2", "--dim", "3", "--n-matrices", "3",
                        "--phi", "pinch:0,1|2", "--g", "power:0.5", "--trials", "20", "--seed", "8"],
     "trials-q2sq": ["trials", "q2sq", "--band", "0.4:3", "--trials", "600", "--seed", "9", "--expect-violation"],
+    "trials-t22b-compress": ["trials", "t22-b", "--band", "0.5:2", "--dim", "3", "--sigma", "harmonic",
+                             "--phi", "compress:V.txt", "--psi", "compress:V.txt", "--f", "power:2",
+                             "--g", "power:0.5", "--trials", "100", "--seed", "14"],
+    "trials-hoa-trace": ["trials", "hoa", "--band", "1:4", "--dim", "4", "--phi", "trace", "--trials", "100",
+                         "--seed", "15"],
     "falsify-seed-known-q2": ["falsify", "q2", "--seed-known", "--budget", "200", "--seed", "1", "--expect-violation"],
     "falsify-searched-q2sq": ["falsify", "q2sq", "--band", "0.4:3", "--dim", "3", "--budget", "400", "--seed", "12",
                               "--expect-violation"],
