@@ -5,19 +5,39 @@ off, keeps the worst violation it sees, and labels the witness with any
 hypotheses the configuration breaks, so a "counterexample" to a statement
 used outside its scope is reported as exactly that.  It runs on the trial
 engine of :mod:`opmeanlab.statements`: per-trial seeded draws, evaluated in
-fixed blocks.  ``refine`` runs a
-greedy random walk around a witness, clamping every candidate's spectrum
-back into the band, and only ever accepts strictly more negative gaps.
+fixed blocks.  ``refine`` runs a greedy random walk around a witness,
+clamping every candidate's spectrum back into the band, and only ever
+accepts strictly more negative gaps.
+
+The walk evaluates its steps in speculative windows: the candidates of the
+next few steps are all formed from the current incumbent and evaluated as
+one stack by the same builders, and the first strictly better one is
+accepted; the rest of the window is discarded and the walk resumes at the
+step after it.  Every step's bump is drawn once, in step order, so each
+candidate, verdict and error is bitwise the one the step-by-step walk
+(one :func:`~opmeanlab.statements.check` per step) gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .statements import StatementConfig, check, hypothesis_violations, trial_blocks, unitality_violations
-from .symmat import SymMatrix
+from .statements import (
+    _BLOCK,
+    BandViolationError,
+    StatementConfig,
+    _as_matrices,
+    _require_count,
+    check,
+    get_statement,
+    hypothesis_violations,
+    trial_blocks,
+    unitality_violations,
+)
+from .symmat import SymMatrix, _first_out_of_band, _loewner, _symmetrize
 
 __all__ = ["Witness", "falsify", "refine", "revalidate"]
 
@@ -94,17 +114,69 @@ def falsify(
         gaps = np.where(verdict.holds, np.inf, verdict.gap_min_eig)
         t = int(np.argmin(gaps))
         if gaps[t] < (np.inf if best is None else best.gap_min_eig):
-            best = witness(
-                (SymMatrix(m) for m in x[t]), gaps[t], verdict.gap_det[t], first + t, True
-            )
+            best = witness(_as_matrices(x[t].copy()), gaps[t], verdict.gap_det[t], first + t, True)
     return best
 
 
-def _clamp_to_band(arr: np.ndarray, band) -> SymMatrix:
-    sym = (arr + arr.T) / 2.0
-    w, q = np.linalg.eigh(sym)
-    w = np.clip(w, band.m, band.M)
-    return SymMatrix((q * w) @ q.T)
+#: Steps in the first window of the walk and in the first after an
+#: acceptance; each window without one doubles the next, up to ``_BLOCK``.
+_FIRST_WINDOW = 8
+
+
+def _clamp_to_band(x: np.ndarray, band) -> np.ndarray:
+    """The symmetric parts of a stack ``(..., d, d)`` with their spectra
+    clipped into ``band``, reassembled and symmetrized."""
+    w, q = np.linalg.eigh((x + x.mT) / 2.0)
+    return _symmetrize((q * np.clip(w, band.m, band.M)[..., None, :]) @ q.mT)
+
+
+def _steps_alone(best: Witness, bumps: np.ndarray, radius: float) -> Witness:
+    """The walk over ``bumps`` (one row per step, each matrix's bump
+    flattened in turn), one :func:`check` per step."""
+    cfg = best.config
+    ends = np.cumsum([m.data.size for m in best.matrices], dtype=int)
+    for row in bumps:
+        candidate = [
+            SymMatrix._wrap(_clamp_to_band(m.data + radius * bump.reshape(m.data.shape), cfg.band))
+            for m, bump in zip(best.matrices, np.split(row, ends[:-1]))
+        ]
+        verdict = check(cfg, candidate, skip_band_check=False, enforce_hypotheses=False)
+        if not verdict.holds and verdict.gap_min_eig < best.gap_min_eig:
+            gap, det = verdict.gap_min_eig, verdict.gap_det
+            best = replace(best, matrices=tuple(candidate), gap_min_eig=gap, gap_det=det, band_checked=True)
+    return best
+
+
+def _window(best: Witness, bumps: np.ndarray, radius: float, engine) -> tuple:
+    """Steps ``bumps`` of the walk from ``best``, evaluated as one stack.
+
+    Returns the number of steps taken (through the first acceptance, or all
+    of them) and the incumbent after them.  ``engine`` is the statement's
+    ``(info, constants)``, or None to take every step alone.
+    """
+    if engine is None:
+        return len(bumps), _steps_alone(best, bumps, radius)
+    cfg = best.config
+    info, consts = engine
+    try:
+        x = np.array([m.data for m in best.matrices])
+        c = _clamp_to_band(x + radius * bumps.reshape((len(bumps),) + x.shape), cfg.band)
+        inside, report = _first_out_of_band(c, cfg.band)
+        better = np.empty(0, dtype=np.intp)
+        if inside:
+            v = _loewner(*info.build(cfg, consts, c[:inside]))
+            better = np.flatnonzero(~v.holds & (v.gap_min_eig < best.gap_min_eig))
+    except Exception:
+        # the step that raises, and its error, are those of the walk alone
+        return len(bumps), _steps_alone(best, bumps, radius)
+    if better.size:
+        j = int(better[0])
+        accepted = _as_matrices(c[j].copy())
+        gap, det = float(v.gap_min_eig[j]), float(v.gap_det[j])
+        return j + 1, replace(best, matrices=accepted, gap_min_eig=gap, gap_det=det, band_checked=True)
+    if report is not None:
+        raise BandViolationError(report.offending_summary())
+    return len(bumps), best
 
 
 def refine(witness: Witness, steps: int, radius: float, seed: int) -> Witness:
@@ -116,8 +188,11 @@ def refine(witness: Witness, steps: int, radius: float, seed: int) -> Witness:
     eigenvalue is strictly more negative.  With ``radius == 0`` or
     ``steps == 0`` the witness is returned unchanged.  Accepted candidates
     are in band by construction, so refinement can only strengthen a
-    violation, never manufacture an out-of-band one.
+    violation, never manufacture an out-of-band one.  Steps are evaluated
+    in speculative windows (see the module docstring).
     """
+    if not math.isfinite(radius):
+        raise ValueError(f"radius must be finite, got {radius!r}")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if steps < 0:
@@ -125,23 +200,24 @@ def refine(witness: Witness, steps: int, radius: float, seed: int) -> Witness:
     if radius == 0.0 or steps == 0:
         return witness
     cfg = witness.config
+    n = len(witness.matrices)
+    try:
+        info = get_statement(cfg.statement_id)
+        _require_count(info, n)
+        engine = info, info.constants(cfg, n)
+    except Exception:
+        # every step raises this; the walk alone raises it at the first
+        engine = None
     rng = np.random.default_rng(seed)
+    entries = sum(m.data.size for m in witness.matrices)
+    pending = np.empty((0, entries))
     best = witness
-    for _ in range(steps):
-        candidate = []
-        for m in best.matrices:
-            bump = rng.standard_normal(m.data.shape)
-            candidate.append(_clamp_to_band(m.data + radius * bump, cfg.band))
-        verdict = check(cfg, candidate, skip_band_check=False, enforce_hypotheses=False)
-        if not verdict.holds and verdict.gap_min_eig < best.gap_min_eig:
-            best = Witness(
-                config=cfg,
-                matrices=tuple(candidate),
-                gap_min_eig=verdict.gap_min_eig,
-                gap_det=verdict.gap_det,
-                seed=witness.seed,
-                trial_index=witness.trial_index,
-                band_checked=True,
-                hypothesis_violations=witness.hypothesis_violations,
-            )
+    done, width = 0, _FIRST_WINDOW
+    while done < steps:
+        size = min(width, steps - done)
+        if len(pending) < size:
+            pending = np.concatenate((pending, rng.standard_normal((size - len(pending), entries))))
+        taken, after = _window(best, pending[:size], radius, engine)
+        width = _FIRST_WINDOW if after is not best else min(2 * width, _BLOCK)
+        best, pending, done = after, pending[taken:], done + taken
     return best

@@ -11,7 +11,8 @@ Trials are deterministic: trial ``i`` of a run seeded with ``s`` draws from
 reproduced from ``(statement_id, config, s, i)`` alone.
 
 One engine evaluates every statement.  The draws stay per-trial streams,
-consumed one trial after another; evaluation is batched: the builders
+seeded for a whole block at once (see
+:func:`~opmeanlab.symmat.random_spd_trials`); evaluation is batched: the builders
 take ``(T, n, d, d)`` stacks of ``T`` trials' inputs and run each layer
 (map, mean, functional calculus, order check) once per block of up to
 ``_BLOCK`` trials, giving every trial the bits it gets alone.  A statement's
@@ -610,8 +611,14 @@ def _require_count(info: StatementInfo, n: int):
         raise ValueError(f"statement {info.statement_id!r} takes exactly two matrices")
 
 
+def _as_matrices(x: np.ndarray) -> tuple:
+    """The ``(n, d, d)`` stack ``x`` of symmetrized inputs as :class:`SymMatrix`
+    values that share its memory; pass a copy where ``x`` is a view."""
+    return tuple(SymMatrix._wrap(m) for m in x)
+
+
 def _require_in_band(x: np.ndarray, band: SpectralBand):
-    report = _first_out_of_band(x, band)
+    _, report = _first_out_of_band(x, band)
     if report is not None:
         raise BandViolationError(report.offending_summary())
 
@@ -731,11 +738,12 @@ def run_trials(cfg: StatementConfig, trials: int, seed: int) -> TrialReport:
     worst = np.inf
     for first, x, verdict in trial_blocks(cfg, seed, 0, trials):
         worst = min(worst, verdict.gap_min_eig.min())
-        for t in np.flatnonzero(~verdict.holds):
+        violating = np.flatnonzero(~verdict.holds)
+        for t, mats in zip(violating, x[violating]):
             violations.append(
                 TrialViolation(
                     trial_index=first + int(t),
-                    matrices=tuple(SymMatrix(m) for m in x[t]),
+                    matrices=_as_matrices(mats),
                     gap_min_eig=float(verdict.gap_min_eig[t]),
                     gap_det=float(verdict.gap_det[t]),
                 )

@@ -8,7 +8,13 @@ generation of positive definite matrices with a prescribed spectrum.
 
 The kernels behind the public functions work on stacks ``(..., d, d)``
 and give every matrix of a stack the bits it gets alone, so the trial
-engine can evaluate a block of trials in one call per layer.
+engine can evaluate a block of trials in one call per layer.  The seeded
+draw of a block is bitwise one ``numpy.random.default_rng([seed, i])``
+per trial ``i``, without building those generators: the ``SeedSequence``
+hashing of the whole block runs as ``uint32`` arrays, the ``PCG64`` states
+follow from it in 128-bit integer arithmetic, and one reused generator is
+set to each state in turn.  NumPy keeps both algorithms fixed under its
+stream-compatibility policy (NEP 19).
 """
 
 from __future__ import annotations
@@ -364,18 +370,19 @@ def _band_report(eigenvalues, band: SpectralBand, tol: float) -> BandReport:
     return BandReport(band=band, tol=float(tol), checks=tuple(checks))
 
 
-def _first_out_of_band(x: np.ndarray, band: SpectralBand) -> BandReport | None:
+def _first_out_of_band(x: np.ndarray, band: SpectralBand) -> tuple:
     """Band check of a ``(T, k, d, d)`` stack of ``T`` groups of ``k``
     matrices with one ``eigvalsh`` call, at :func:`validate_band`'s default
-    tolerance.  Returns the report of the first group with an eigenvalue
-    outside the band, or None when every matrix is inside."""
+    tolerance.  Returns the index and report of the first group with an
+    eigenvalue outside the band, or ``(T, None)`` when every matrix is
+    inside."""
     tol = 1e-9 * (1.0 + band.M)
     w = np.linalg.eigvalsh(x)
     outside = (w < band.m - tol) | (w > band.M + tol)
     if not outside.any():
-        return None
+        return len(w), None
     first = int(np.flatnonzero(outside.reshape(len(w), -1).any(axis=1))[0])
-    return _band_report(w[first], band, tol)
+    return first, _band_report(w[first], band, tol)
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -403,10 +410,9 @@ def random_spd(
     if dim < 1:
         raise DimensionMismatchError("dimension must be at least 1")
     gen = _as_generator(rng)
-    w = np.empty(dim)
-    g = np.empty((dim, dim))
-    _draw_into(gen, band, pinned, w, g)
-    return SymMatrix._wrap(_conjugate_spectra(w, g))
+    u = gen.random(dim)
+    g = gen.standard_normal((dim, dim))
+    return SymMatrix._wrap(_conjugate_spectra(_band_spectra(u, band, np.asarray(pinned)), g))
 
 
 def random_spd_trials(
@@ -418,31 +424,129 @@ def random_spd_trials(
     Trial ``i`` draws from its own stream ``numpy.random.default_rng([seed,
     i])``: for each of its ``count`` matrices, a pin flag (probability one
     half) and then what :func:`random_spd` draws with that flag.  The
-    streams are consumed one trial at a time, in that order; the QR
+    streams' seeds are hashed for the whole block at once, and one reused
+    generator is set to each stream's state in turn; the band maps, QR
     factorizations, sign fixes and reassemblies run once over the stack.
     Every matrix is bitwise the one :func:`random_spd` returns from the same
     stream state.
     """
     if dim < 1:
         raise DimensionMismatchError("dimension must be at least 1")
-    w = np.empty((stop - start, count, dim))
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    if start < 0:
+        raise ValueError("trial indices must be nonnegative")
+    # per matrix: the pin flag, then the eigenvalues' uniforms
+    u = np.empty((stop - start, count, dim + 1))
     g = np.empty((stop - start, count, dim, dim))
-    for t in range(stop - start):
-        gen = np.random.default_rng([seed, start + t])
-        for k in range(count):
-            _draw_into(gen, band, bool(gen.random() < 0.5), w[t, k], g[t, k])
-    return _conjugate_spectra(w, g)
+    if u.size:
+        bits = np.random.PCG64(0)
+        gen = np.random.Generator(bits)
+        for state, ut, gt in zip(_pcg64_states(seed, start, stop), u, g):
+            bits.state = state
+            for uk, gk in zip(ut, gt):
+                gen.random(out=uk)
+                gen.standard_normal(out=gk)
+    return _conjugate_spectra(_band_spectra(u[..., 1:], band, u[..., 0] < 0.5), g)
 
 
-def _draw_into(gen: np.random.Generator, band: SpectralBand, pinned: bool, w, g) -> None:
-    """Fill ``w`` with uniform eigenvalues (extremes pinned to the band edges
-    if asked) and then ``g`` with a Gaussian matrix, from ``gen``."""
-    w[:] = gen.uniform(band.m, band.M, size=len(w))
-    if pinned:
-        w.sort()
-        w[0] = band.m
-        w[-1] = band.M
-    gen.standard_normal(out=g)
+def _band_spectra(u: np.ndarray, band: SpectralBand, pinned) -> np.ndarray:
+    """Uniforms ``u`` of shape ``(..., d)`` mapped onto ``[m, M]`` as
+    ``Generator.uniform`` maps them; where ``pinned`` (shape ``(...)``)
+    holds, sorted with the extremes set to the band edges."""
+    w = band.m + (band.M - band.m) * u
+    w = np.where(pinned[..., None], np.sort(w, axis=-1), w)
+    w[..., 0] = np.where(pinned, band.m, w[..., 0])
+    w[..., -1] = np.where(pinned, band.M, w[..., -1])
+    return w
+
+
+# The seeding of ``numpy.random.default_rng([seed, i])``: SeedSequence hashes
+# the 32-bit words of its entropy into a pool and the pool into state words,
+# and PCG64 derives its 128-bit state and increment from four of those.
+# NumPy keeps both algorithms fixed (NEP 19).
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words32(n: int) -> list:
+    """Little-endian 32-bit words of ``n >= 0``, at least one."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _pcg64_states(seed: int, start: int, stop: int):
+    """The ``PCG64.state`` of ``default_rng([seed, i])`` for each ``i`` in
+    ``start .. stop - 1``.  Indices that share their words above the lowest
+    are hashed together, as ``uint32`` arrays."""
+    first = start
+    while first < stop:
+        upper = first >> 32
+        last = min(stop, (upper + 1) << 32)
+        size = last - first
+        lowest = (np.arange(size) + (first & _MASK32)).astype(np.uint32)
+        entropy = (
+            [np.full(size, w, np.uint32) for w in _words32(seed)]
+            + [lowest]
+            + [np.full(size, w, np.uint32) for w in (_words32(upper) if upper else [])]
+        )
+        words = [w.astype(np.uint64) for w in _seed_state_words(entropy)]
+        seed_hi, seed_lo, seq_hi, seq_lo = (
+            (words[2 * k + 1] << 32 | words[2 * k]).tolist() for k in range(4)
+        )
+        for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+            # pcg64_set_seed: inc = 2 seq + 1; state = (inc + seed) * MULT + inc
+            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+            yield {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        first = last
+
+
+def _seed_state_words(entropy: list) -> list:
+    """``SeedSequence(e).generate_state(8, np.uint32)`` for the entropy
+    words ``e``, given as a list of ``uint32`` arrays (one entry per word,
+    one element per sequence); the result is a list of eight arrays."""
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _HASH_MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    zeros = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _HASH_INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _HASH_MULT_B & _MASK32
+        value = value * hash_const
+        out.append(value ^ (value >> 16))
+    return out
 
 
 def _conjugate_spectra(w: np.ndarray, g: np.ndarray) -> np.ndarray:

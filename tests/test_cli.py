@@ -175,6 +175,13 @@ class TestCheckCommand:
         assert report["holds"] is False
         assert_allclose(report["gap_det"], -0.0013710746408141753, rtol=1e-10)
 
+    @pytest.mark.parametrize("command", ["check", "trials"])
+    def test_negative_seed(self, command, capsys):
+        code, out, err = run_cli(capsys, command, "ps-1.1", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be nonnegative\n"
+
     def test_unknown_statement(self, capsys):
         code, _, err = run_cli(capsys, "check", "nope")
         assert code == 2

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import opmeanlab as ol
+from opmeanlab import symmat
 from opmeanlab import (
     DimensionMismatchError,
     NotPositiveDefiniteError,
@@ -196,6 +197,49 @@ class TestRandomSpd:
     def test_dim_validation(self):
         with pytest.raises(DimensionMismatchError):
             ol.random_spd(0, SpectralBand(1.0, 2.0))
+
+
+def _reference_draw(dim, band, count, seed, start, stop):
+    """The seeded draw as one ``default_rng([seed, i])`` per trial: per
+    matrix a pin flag, ``uniform`` eigenvalues (sorted and pinned to the
+    band edges if flagged), then a Gaussian matrix."""
+    w = np.empty((stop - start, count, dim))
+    g = np.empty((stop - start, count, dim, dim))
+    for t in range(stop - start):
+        gen = np.random.default_rng([seed, start + t])
+        for k in range(count):
+            pinned = gen.random() < 0.5
+            w[t, k] = gen.uniform(band.m, band.M, size=dim)
+            if pinned:
+                w[t, k].sort()
+                w[t, k, 0] = band.m
+                w[t, k, -1] = band.M
+            gen.standard_normal(out=g[t, k])
+    return symmat._conjugate_spectra(w, g)
+
+
+class TestRandomSpdTrials:
+    @pytest.mark.parametrize(
+        "band", [SpectralBand(0.99, 1.01), SpectralBand(1e-3, 1e3)], ids=["narrow", "wide"]
+    )
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**100])
+    def test_matches_per_trial_generators(self, seed, band):
+        for dim in range(1, 6):
+            for count in range(6):
+                for start, stop in [(0, 3), (2**32 - 2, 2**32 + 1)]:
+                    got = symmat.random_spd_trials(dim, band, count, seed, start, stop)
+                    want = _reference_draw(dim, band, count, seed, start, stop)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
+    def test_long_index_range(self):
+        band = SpectralBand(0.4, 3.0)
+        got = symmat.random_spd_trials(3, band, 2, 11, 2**64 - 150, 2**64 + 150)
+        assert got.tobytes() == _reference_draw(3, band, 2, 11, 2**64 - 150, 2**64 + 150).tobytes()
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+            symmat.random_spd_trials(2, SpectralBand(1.0, 2.0), 2, -1, 0, 4)
 
 
 @settings(max_examples=50, deadline=None)
