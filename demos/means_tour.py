@@ -75,7 +75,8 @@ def main():
     report = ol.validate_representing(logmean.h)
     print("registered:", logmean.name)
     print("h(1) == 1:", report.h1_ok, "  positive on (0, inf):", report.positive_ok)
-    print("monotone probe:", report.monotone_ok)
+    print("monotone (Loewner-matrix test):", report.monotone_ok,
+          f"  margin {report.worst_margin:.3e}")
 
     lm = ol.mean(logmean, a, b)
     between_lo = ol.loewner_leq(geo, lm)

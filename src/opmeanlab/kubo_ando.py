@@ -8,11 +8,13 @@ normalized so that ``h(1) = 1``; the matrix value is
 evaluated literally in that A-side conjugated form for reproducibility.
 The catalog covers the arithmetic, geometric and harmonic means together
 with their weighted versions, plus validated custom representing
-functions.  The multi-matrix geometric mean is the symmetrization
-fixed-point construction that replaces each matrix by the mean of the
-remaining ones until the tuple stops moving.  Its sub-tuples are swept in
-lock-step as stacked arrays through the one binary-mean kernel, and each
-converges on its own.
+functions.  Validation is deterministic: normalization and positivity on a
+fixed log grid, and operator monotonicity through the Loewner-matrix test
+of :mod:`opmeanlab.functions`.  The multi-matrix geometric mean is the
+symmetrization fixed-point construction that replaces each matrix by the
+mean of the remaining ones until the tuple stops moving.  Its sub-tuples
+are swept in lock-step as stacked arrays through the one binary-mean
+kernel, and each converges on its own.
 
 Invariant tolerances (the test suite verifies these on random instances):
 
@@ -37,16 +39,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .functions import _LOEWNER_TOL, _loewner_margin
 from .symmat import (
     PD_FLOOR,
     DimensionMismatchError,
     NotPositiveDefiniteError,
-    SpectralBand,
     SpectrumDomainError,
     SymMatrix,
-    apply_scalar,
-    loewner_leq,
-    random_spd,
 )
 
 __all__ = [
@@ -120,16 +119,16 @@ class RepresentingReport:
     """Validation report for a representing function.
 
     ``h1_ok`` and ``positive_ok`` are exact requirements; the operator
-    monotonicity probe is sampled and advisory (it can refute but not
-    certify).  ``worst_margin`` is the most negative order gap seen by the
-    probe and ``witness`` the pair achieving it, if any was negative.
+    monotonicity test is advisory (it can refute but not certify).
+    ``worst_margin`` is the smallest eigenvalue of the unit-diagonal Loewner
+    matrix of ``h``: near zero or positive for an operator monotone ``h``,
+    ``-inf`` where a slope is not positive or a value is not finite.
     """
 
     h1_ok: bool
     positive_ok: bool
     monotone_ok: bool
     worst_margin: float
-    witness: tuple | None
 
     @property
     def passed(self) -> bool:
@@ -166,15 +165,15 @@ def weighted_harmonic(w: float) -> MeanDescriptor:
     return MeanDescriptor(f"harmonic:{w:g}", RepresentingFunction("weighted-harmonic", weight=w))
 
 
-def custom_mean(name: str, handle: Callable, seed: int = 0) -> MeanDescriptor:
+def custom_mean(name: str, handle: Callable) -> MeanDescriptor:
     """Wrap a custom representing function after validation.
 
     The exact checks of :func:`validate_representing` (normalization and
-    positivity) must pass; the sampled monotonicity probe is advisory and
-    only reported, not enforced.
+    positivity) must pass; the monotonicity test is advisory and only
+    reported, not enforced.
     """
     h = RepresentingFunction("custom", handle=handle)
-    report = validate_representing(h, seed=seed)
+    report = validate_representing(h)
     if not report.passed:
         problems = []
         if not report.h1_ok:
@@ -227,7 +226,7 @@ def _binary_mean(h: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         hw = np.asarray(h(wc), dtype=float)
     if not np.isfinite(hw).all():
         bad = wc[~np.isfinite(hw)][0]
-        raise SpectrumDomainError(f"representing function undefined at eigenvalue {bad!r}")
+        raise SpectrumDomainError(f"representing function undefined at eigenvalue {float(bad)!r}")
     inner = (qc * hw[..., None, :]) @ qc.mT
     out = half @ inner @ half
     return (out + out.mT) / 2.0
@@ -240,58 +239,38 @@ def mean(sigma: MeanDescriptor, a: SymMatrix, b: SymMatrix) -> SymMatrix:
     return SymMatrix(_binary_mean(sigma.h, a.data, b.data))
 
 
-def validate_representing(
-    h: RepresentingFunction,
-    monotonicity_trials: int = 1000,
-    seed: int = 0,
-) -> RepresentingReport:
-    """Check a representing function: exact normalization and positivity,
-    plus a sampled operator monotonicity probe on random ordered 2x2 pairs.
+def validate_representing(h: RepresentingFunction) -> RepresentingReport:
+    """Check a representing function: exact normalization, positivity on a
+    log grid of ``[1e-6, 1e6]``, and the Loewner-matrix monotonicity test.
 
-    The probe margin for an ordered pair ``A <= B`` is
-    ``lambda_min(h(B') - h(A'))`` after conjugating both into the same
-    frame; a margin below ``-1e-9`` scaled by the pair counts as a
-    refutation.  The probe is heuristic: it cannot certify monotonicity.
+    ``h`` counts as monotone when it is positive and its margin (see
+    :class:`RepresentingReport`) is at least ``-1e-6``.  The test is
+    deterministic and can refute but not certify monotonicity.
     """
     h1_ok = bool(abs(float(h(1.0)) - 1.0) <= 1e-12)
     grid = np.geomspace(1e-6, 1e6, 1201)
     with np.errstate(all="ignore"):
         vals = np.asarray(h(grid), dtype=float)
     positive_ok = bool(np.isfinite(vals).all() and (vals > 0.0).all())
-
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    witness = None
-    monotone_ok = True
-    if positive_ok:
-        band = SpectralBand(0.1, 10.0)
-        for _ in range(monotonicity_trials):
-            a = random_spd(2, band, rng=rng)
-            bump = rng.standard_normal((2, 2))
-            b = SymMatrix(a.data + bump @ bump.T * rng.uniform(0.01, 1.0))
-            try:
-                ha = apply_scalar(a, h)
-                hb = apply_scalar(b, h)
-            except SpectrumDomainError:
-                monotone_ok = False
-                witness = (a, b)
-                break
-            verdict = loewner_leq(ha, hb)
-            if verdict.gap_min_eig < worst:
-                worst = verdict.gap_min_eig
-                if not verdict.holds:
-                    witness = (a, b)
-        if witness is not None:
-            monotone_ok = False
-    else:
-        monotone_ok = False
+    margin = _loewner_margin(h)
     return RepresentingReport(
         h1_ok=h1_ok,
         positive_ok=positive_ok,
-        monotone_ok=monotone_ok,
-        worst_margin=float(worst) if np.isfinite(worst) else np.inf,
-        witness=witness,
+        monotone_ok=positive_ok and margin >= -_LOEWNER_TOL,
+        worst_margin=margin,
     )
+
+
+def _harmonic_arithmetic(h: RepresentingFunction, tol: float = 1e-12) -> tuple:
+    """Whether ``h >= 2t/(1+t)`` and whether ``h <= (1+t)/2``, each up to an
+    absolute slack of ``tol`` on 1000 log-spaced points of ``[1e-4, 1e4]``;
+    both False where ``h`` is not finite."""
+    t = np.geomspace(1e-4, 1e4, 1000)
+    with np.errstate(all="ignore"):
+        vals = np.asarray(h(t), dtype=float)
+    if not np.isfinite(vals).all():
+        return False, False
+    return bool((vals >= 2.0 * t / (1.0 + t) - tol).all()), bool((vals <= (1.0 + t) / 2.0 + tol).all())
 
 
 def is_between_harmonic_arithmetic(h: RepresentingFunction, tol: float = 1e-12) -> bool:
@@ -302,14 +281,7 @@ def is_between_harmonic_arithmetic(h: RepresentingFunction, tol: float = 1e-12) 
     generally fail this: they dip below the symmetric harmonic curve on one
     side of ``t = 1``.
     """
-    t = np.geomspace(1e-4, 1e4, 1000)
-    with np.errstate(all="ignore"):
-        vals = np.asarray(h(t), dtype=float)
-    if not np.isfinite(vals).all():
-        return False
-    lower = 2.0 * t / (1.0 + t)
-    upper = (1.0 + t) / 2.0
-    return bool((vals >= lower - tol).all() and (vals <= upper + tol).all())
+    return all(_harmonic_arithmetic(h, tol))
 
 
 #: Default stopping rule of the multi-matrix geometric mean.
@@ -361,6 +333,8 @@ def alm_mean(
     leave-one-out sub-tuples of a level are swept in lock-step as one stack,
     and each of them converges on its own, exactly as it would alone.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be a nonnegative number, got {tol!r}")
     mats = list(mats)
     if not mats:
         raise ValueError("need at least one matrix")

@@ -169,8 +169,8 @@ def convex_combination(parts) -> MapDescriptor:
 def scale(k: float) -> MapDescriptor:
     """Positive scaling ``A -> k A``; non-unital unless ``k = 1``."""
     k = float(k)
-    if k <= 0.0:
-        raise ValueError(f"scale factor must be positive, got {k!r}")
+    if not 0.0 < k < np.inf:
+        raise ValueError(f"scale factor must be positive and finite, got {k!r}")
     return MapDescriptor(kind="scale", factor=k)
 
 

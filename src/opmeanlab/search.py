@@ -37,7 +37,7 @@ from .statements import (
     trial_blocks,
     unitality_violations,
 )
-from .symmat import SymMatrix, _first_out_of_band, _loewner, _symmetrize
+from .symmat import SymMatrix, _apply_scalar, _first_out_of_band, _loewner, _symmetrize
 
 __all__ = ["Witness", "falsify", "refine", "revalidate"]
 
@@ -126,8 +126,7 @@ _FIRST_WINDOW = 8
 def _clamp_to_band(x: np.ndarray, band) -> np.ndarray:
     """The symmetric parts of a stack ``(..., d, d)`` with their spectra
     clipped into ``band``, reassembled and symmetrized."""
-    w, q = np.linalg.eigh((x + x.mT) / 2.0)
-    return _symmetrize((q * np.clip(w, band.m, band.M)[..., None, :]) @ q.mT)
+    return _apply_scalar(_symmetrize(x), lambda w: np.clip(w, band.m, band.M))
 
 
 def _steps_alone(best: Witness, bumps: np.ndarray, radius: float) -> Witness:

@@ -43,6 +43,7 @@ from .kubo_ando import (
     MeanDescriptor,
     _alm,
     _binary_mean,
+    _harmonic_arithmetic,
     is_between_harmonic_arithmetic,
 )
 from .linmaps import MapDescriptor, _apply_map, identity_map, is_unital
@@ -209,13 +210,13 @@ def _geo_mean(x):
 
 
 def _require_positive(value: float, name: str):
-    if not value > 0.0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _require_nonnegative(value: float, name: str):
-    if value < 0.0:
-        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
 
 
 # Constants, computed once per run: (cfg, inputs per trial) -> value.
@@ -544,13 +545,6 @@ def get_statement(statement_id: str) -> StatementInfo:
         ) from None
 
 
-def _dominated_by_arithmetic(h, tol: float = 1e-12) -> bool:
-    t = np.geomspace(1e-4, 1e4, 1000)
-    with np.errstate(all="ignore"):
-        vals = np.asarray(h(t), dtype=float)
-    return bool(np.isfinite(vals).all() and (vals <= (1.0 + t) / 2.0 + tol).all())
-
-
 def unitality_violations(cfg: StatementConfig) -> tuple:
     """Labels for non-unital maps in roles that require unitality."""
     info = get_statement(cfg.statement_id)
@@ -569,7 +563,7 @@ def hypothesis_violations(cfg: StatementConfig) -> tuple:
 
     These are the conditions under which the statement is a theorem; a
     nonempty result means trials would be testing the statement outside its
-    advertised scope.  Checks are sampled probes, not proofs.
+    advertised scope.  Checks are deterministic grid probes, not proofs.
     """
     info = get_statement(cfg.statement_id)
     sid = info.statement_id
@@ -592,7 +586,7 @@ def hypothesis_violations(cfg: StatementConfig) -> tuple:
     elif sid == "aahh":
         if not is_operator_monotone(cfg.f):
             labels.append("f is not operator monotone")
-        if not _dominated_by_arithmetic(cfg.sigma.h):
+        if not _harmonic_arithmetic(cfg.sigma.h)[1]:
             labels.append("sigma is not dominated by the arithmetic mean")
     elif sid == "add-reverse":
         if not is_operator_monotone(cfg.f):

@@ -243,7 +243,7 @@ def _apply_scalar(x: np.ndarray, f: Callable, domain_min: float | None = None) -
         raise SpectrumDomainError("scalar function must map eigenvalues elementwise")
     if not np.isfinite(fw).all():
         bad = w[~np.isfinite(fw)][0]
-        raise SpectrumDomainError(f"scalar function is undefined at eigenvalue {bad!r}")
+        raise SpectrumDomainError(f"scalar function is undefined at eigenvalue {float(bad)!r}")
     return _symmetrize((q * fw[..., None, :]) @ q.mT)
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +148,15 @@ class TestMeanCommand:
         code, _, err = run_cli(capsys, "mean", str(p))
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "-1e-12"])
+    def test_bad_tolerance_is_one_line_error(self, tol, capsys):
+        # a NaN tolerance used to stop the fixed-point sweep after one pass
+        paths = [str(Path(__file__).parent / "golden" / f"{name}.txt") for name in "ABC"]
+        code, out, err = run_cli(capsys, "mean", *paths, f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: tolerance must be a nonnegative number, got {float(tol)!r}\n"
+
 
 class TestCheckCommand:
     def test_seeded_holds(self, capsys):
@@ -191,6 +201,27 @@ class TestCheckCommand:
         code, _, err = run_cli(capsys, "check", "mond2", "--phi", "scale:2")
         assert code == 2
         assert "unital" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["q2", "--p", "nan"], "exponent p must be nonnegative and finite, got nan"),
+            (["c27", "--p", "inf"], "exponent p must be nonnegative and finite, got inf"),
+            (["c27", "--q", "nan"], "exponent q must be nonnegative and finite, got nan"),
+            (["c23-a", "--p", "inf"], "exponent p must be positive and finite, got inf"),
+            (["t22-a", "--f", "power:nan"], "power must be nonnegative and finite, got nan"),
+            (["t22-a", "--g", "power:inf"], "power must be nonnegative and finite, got inf"),
+            (["t22-a", "--f", "spower:nan,1"], "coefficient must be positive and finite, got nan"),
+            (["t22-a", "--f", "spower:1,inf"], "power must be nonnegative and finite, got inf"),
+            (["ando", "--phi", "scale:nan"], "scale factor must be positive and finite, got nan"),
+            (["ando", "--phi", "scale:inf"], "scale factor must be positive and finite, got inf"),
+        ],
+    )
+    def test_non_finite_parameter_is_config_error(self, argv, message, capsys):
+        code, out, err = run_cli(capsys, "check", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestTrialsCommand:

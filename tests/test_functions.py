@@ -5,12 +5,14 @@ from numpy.testing import assert_allclose
 from opmeanlab import (
     EXP_MINUS_ONE,
     IDENTITY,
+    RepresentingFunction,
     custom_scalar,
     increasing_on,
     is_operator_monotone,
     midpoint_concave,
     power_function,
     scaled_power_function,
+    validate_representing,
 )
 
 
@@ -35,6 +37,13 @@ class TestCatalog:
             scaled_power_function(0.0, 1.0)
         with pytest.raises(ValueError):
             scaled_power_function(1.0, -2.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                power_function(bad)
+            with pytest.raises(ValueError, match="coefficient must be positive and finite"):
+                scaled_power_function(bad, 1.0)
+            with pytest.raises(ValueError, match="power must be nonnegative and finite"):
+                scaled_power_function(1.0, bad)
 
 
 class TestCustom:
@@ -85,3 +94,72 @@ class TestProbes:
         assert increasing_on(np.expm1, 0.5, 3.0)
         assert increasing_on(lambda t: np.full_like(t, 2.0), 0.5, 3.0)
         assert not increasing_on(lambda t: -t, 0.5, 3.0)
+
+
+def _log_mean(t):
+    t = np.asarray(t, dtype=float)
+    near_one = np.isclose(t, 1.0)
+    return np.where(near_one, 1.0, (t - 1.0) / np.where(near_one, 1.0, np.log(t)))
+
+
+def _donoghue(t):
+    # t/(1+t) up to t = 2, then the tangent-slope line 2/3 + (t-2)/9: C^1,
+    # and 2-monotone by Donoghue's criterion since (f')^(-1/2) = min(1+t, 3)
+    # is concave, but not operator monotone, since it is not analytic at 2
+    t = np.asarray(t, dtype=float)
+    return np.where(t < 2.0, t / (1.0 + t), 2.0 / 3.0 + (t - 2.0) / 9.0)
+
+
+def _normalized(handle):
+    return RepresentingFunction("custom", handle=lambda t: handle(t) / handle(1.0))
+
+
+MONOTONE = [
+    ("sqrt", np.sqrt),
+    ("log1p", np.log1p),
+    ("log-mean", _log_mean),
+    ("t^0.999", lambda t: t**0.999),
+    ("constant", lambda t: np.full_like(t, 2.0)),
+]
+NOT_MONOTONE = [
+    ("t^2", lambda t: t**2),
+    ("t^1.05", lambda t: t**1.05),
+    ("arctan", np.arctan),
+    ("donoghue", _donoghue),
+]
+
+
+class TestLoewnerProbe:
+    """One deterministic Loewner-matrix test decides both monotonicity probes."""
+
+    def test_refutes_a_two_monotone_function(self):
+        # random ordered 2x2 pairs cannot refute this function; its Loewner
+        # matrix on 32 nodes has a clearly negative eigenvalue
+        assert not is_operator_monotone(custom_scalar("donoghue", _donoghue))
+        report = validate_representing(_normalized(_donoghue))
+        assert report.passed
+        assert not report.monotone_ok
+        assert_allclose(report.worst_margin, -0.78, atol=0.01)
+
+    @pytest.mark.parametrize("name, handle", MONOTONE, ids=[n for n, _ in MONOTONE])
+    def test_passes(self, name, handle):
+        assert is_operator_monotone(custom_scalar(name, handle))
+        assert validate_representing(_normalized(handle)).monotone_ok
+
+    @pytest.mark.parametrize("name, handle", NOT_MONOTONE, ids=[n for n, _ in NOT_MONOTONE])
+    def test_refutes(self, name, handle):
+        assert not is_operator_monotone(custom_scalar(name, handle))
+        report = validate_representing(_normalized(handle))
+        assert not report.monotone_ok
+        assert report.worst_margin < -0.5
+
+    def test_probes_draw_no_random_numbers(self, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a probe constructed a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        assert not is_operator_monotone(custom_scalar("donoghue", _donoghue))
+        assert not validate_representing(_normalized(_donoghue)).monotone_ok
+        assert midpoint_concave(_donoghue, 0.5, 4.0)
+        assert not midpoint_concave(np.expm1, 0.5, 4.0)
+        assert increasing_on(_donoghue, 0.5, 4.0)

@@ -84,6 +84,7 @@ class TestValidation:
             report = ol.validate_representing(desc.h)
             assert report.passed, desc.name
             assert report.monotone_ok
+            assert report.worst_margin >= -1e-9, desc.name
 
     def test_custom_mean_accepts_valid(self):
         def log_mean_h(t):
@@ -104,6 +105,8 @@ class TestValidation:
     def test_custom_mean_accepts_constant_handle(self):
         # h = 1 is the left-trivial mean A sigma B = A
         desc = ol.custom_mean("left", lambda t: 1.0)
+        report = ol.validate_representing(desc.h)
+        assert report.monotone_ok and report.worst_margin == 0.0
         a, b = spd_pair(6)
         assert_allclose(ol.mean(desc, a, b).data, a.data, rtol=1e-12, atol=1e-12)
         stack_a, stack_b = spd_tuple(8, 3, 2), spd_tuple(9, 3, 2)
@@ -117,6 +120,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="positive"):
             ol.custom_mean("dip", lambda t: t - 0.5)
 
+    def test_undefined_representing_value_prints_plain_float(self):
+        h = ol.RepresentingFunction(kind="custom", handle=lambda t: np.where(t > 2.0, np.nan, t))
+        a, b = SymMatrix.identity(2), SymMatrix.diagonal([1.0, 3.0])
+        with pytest.raises(ol.SpectrumDomainError) as info:
+            ol.mean(ol.MeanDescriptor("partial", h), a, b)
+        assert str(info.value) == "representing function undefined at eigenvalue 3.0"
+
     def test_monotone_flag_is_advisory(self):
         # h(t) = (2 - t) clipped positive fails monotonicity but passes the
         # two hard checks, so the report is flagged yet still "passed".
@@ -125,7 +135,8 @@ class TestValidation:
         assert report.passed
         assert not report.monotone_ok
         assert report.worst_margin < 0
-        assert report.witness is not None
+        # a slope that is not positive refutes without an eigenvalue
+        assert report.worst_margin == -np.inf
 
 
 class TestBinaryMean:

@@ -65,8 +65,10 @@ class TestEig:
 
     def test_apply_scalar_nonfinite_output(self):
         a = SymMatrix.diagonal([1.0, -4.0])
-        with pytest.raises(SpectrumDomainError, match="undefined"):
+        with pytest.raises(SpectrumDomainError, match="undefined") as info:
             ol.apply_scalar(a, np.sqrt)
+        # a plain float, not a numpy scalar repr
+        assert str(info.value) == "scalar function is undefined at eigenvalue -4.0"
 
 
 class TestCongruence:
