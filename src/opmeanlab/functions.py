@@ -88,8 +88,14 @@ def scaled_power_function(c: float, p: float) -> ScalarFunction:
     return ScalarFunction(kind="scaled-power", power=p, coeff=c)
 
 
-def _nondecreasing(vals: np.ndarray, tol: float) -> bool:
-    return bool((np.diff(vals) >= -tol * (1.0 + np.abs(vals[:-1]))).all())
+#: Relative slack of the increase, custom-handle and concavity checks, and
+#: the point count of :func:`increasing_on`.
+_PROBE_TOL = 1e-10
+_INCREASING_SAMPLES = 1000
+
+
+def _nondecreasing(vals: np.ndarray) -> bool:
+    return bool((np.diff(vals) >= -_PROBE_TOL * (1.0 + np.abs(vals[:-1]))).all())
 
 
 def custom_scalar(name: str, handle: Callable) -> ScalarFunction:
@@ -107,7 +113,7 @@ def custom_scalar(name: str, handle: Callable) -> ScalarFunction:
         raise ValueError("custom scalar function produced non-finite values on the sample grid")
     if (vals < -1e-12).any():
         raise ValueError("custom scalar function must be nonnegative on [0, inf)")
-    if not _nondecreasing(vals, 1e-10):
+    if not _nondecreasing(vals):
         raise ValueError("custom scalar function must be monotone nondecreasing")
     return ScalarFunction(kind="custom", handle=handle, label=name)
 
@@ -168,11 +174,11 @@ def is_operator_monotone(fn: ScalarFunction) -> bool:
     return _loewner_margin(fn) >= -_LOEWNER_TOL
 
 
-def midpoint_concave(fn: Callable, a: float, b: float, tol: float = 1e-10) -> bool:
+def midpoint_concave(fn: Callable, a: float, b: float) -> bool:
     """Midpoint concavity of ``fn`` on ``[a, b]``, checked on a grid.
 
-    Checks ``fn((x + y) / 2) >= (fn(x) + fn(y)) / 2 - tol`` (relative to the
-    values) for every pair of 48 evenly spaced points.  Numeric and
+    Checks ``fn((x + y) / 2) >= (fn(x) + fn(y)) / 2 - 1e-10`` (relative to
+    the values) for every pair of 48 evenly spaced points.  Numeric and
     refutation-only, like the other probes.
     """
     grid = np.linspace(a, b, 48)
@@ -180,9 +186,10 @@ def midpoint_concave(fn: Callable, a: float, b: float, tol: float = 1e-10) -> bo
     mid = np.asarray(fn(np.add.outer(grid, grid).ravel() / 2.0), dtype=float)
     avg = np.add.outer(vals, vals).ravel() / 2.0
     scale = 1.0 + np.maximum(np.abs(mid), np.abs(avg))
-    return bool((mid >= avg - tol * scale).all())
+    return bool((mid >= avg - _PROBE_TOL * scale).all())
 
 
-def increasing_on(fn: Callable, a: float, b: float, samples: int = 1000, tol: float = 1e-10) -> bool:
-    """Sampled monotone increase of ``fn`` on ``[a, b]`` (nondecreasing)."""
-    return _nondecreasing(np.asarray(fn(np.linspace(a, b, samples)), dtype=float), tol)
+def increasing_on(fn: Callable, a: float, b: float) -> bool:
+    """Monotone increase of ``fn`` on ``[a, b]`` (nondecreasing), checked on
+    1000 evenly spaced points up to a relative slack of ``1e-10``."""
+    return _nondecreasing(np.asarray(fn(np.linspace(a, b, _INCREASING_SAMPLES)), dtype=float))

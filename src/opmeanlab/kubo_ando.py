@@ -5,8 +5,11 @@ normalized so that ``h(1) = 1``; the matrix value is
 
     ``A sigma B = A^(1/2) h(A^(-1/2) B A^(-1/2)) A^(1/2)``
 
-evaluated literally in that A-side conjugated form for reproducibility.
-The catalog covers the arithmetic, geometric and harmonic means together
+evaluated in the equal congruence form ``L h(L^-1 B L^-T) L^T`` with the
+Cholesky factor ``A = L L^T``: one factorization and one symmetric
+eigensolve per pair.  The geometric mean of ``2 x 2`` pairs needs no
+eigensolver: ``A # B = (beta A + alpha B) / sqrt(tr(adj(A) B) + 2 alpha beta)``
+with ``alpha = sqrt(det A)`` and ``beta = sqrt(det B)``.  The catalog covers the arithmetic, geometric and harmonic means together
 with their weighted versions, plus validated custom representing
 functions.  Validation is deterministic: normalization and positivity on a
 fixed log grid, and operator monotonicity through the Loewner-matrix test
@@ -205,35 +208,82 @@ def representing_value(sigma: MeanDescriptor, t: float) -> float:
     return float(sigma.h(t))
 
 
+def _floor_error(low) -> NotPositiveDefiniteError:
+    return NotPositiveDefiniteError(
+        f"mean requires positive definite inputs; eigenvalue {low:.6e} at or below floor"
+    )
+
+
+def _geometric_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """``A # B`` over stacks ``(..., 2, 2)`` with no eigensolver.
+
+    With ``alpha = sqrt(det A)``, ``beta = sqrt(det B)`` and
+    ``t = tr(adj(A) B)``, the closed form ``sqrt(alpha beta) S / sqrt(det S)``
+    for ``S = A / alpha + B / beta`` (Bhatia, *Positive Definite Matrices*,
+    Prop. 4.1.12) is ``(beta A + alpha B) / sqrt(t + 2 alpha beta)``.  The
+    eigenvalues of ``C = A^(-1/2) B A^(-1/2)`` are the roots of
+    ``det(B - lambda A) = det(A) lambda^2 - t lambda + det(B)``; the smaller
+    one is computed only where ``det(B) / t``, which bounds it from below
+    when ``t > 0``, reaches the floor.  Returns None where products of
+    entries overflow (entries beyond about 1e154), for the Cholesky path.
+    """
+    a00, a01, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
+    b00, b01, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 1]
+    if (low := (a00 + a11 - np.hypot(a00 - a11, 2.0 * a01)).min() / 2.0) <= PD_FLOOR:
+        raise _floor_error(low)
+    det_a, det_b = a00 * a11 - a01 * a01, b00 * b11 - b01 * b01
+    t = a00 * b11 + a11 * b00 - 2.0 * a01 * b01
+    if not ((det_b > PD_FLOOR * t) & (t > 0.0)).all() and (
+        low := ((t - np.sqrt(np.maximum(t * t - 4.0 * det_a * det_b, 0.0))) / (2.0 * det_a)).min()
+    ) <= PD_FLOOR:
+        raise _floor_error(low)
+    alpha, beta = np.sqrt(det_a), np.sqrt(det_b)
+    s = np.sqrt(t + 2.0 * alpha * beta)
+    if not np.isfinite(s).all():
+        return None
+    return (beta / s)[..., None, None] * a + (alpha / s)[..., None, None] * b
+
+
 def _binary_mean(h: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``A sigma B`` over stacks ``(..., d, d)``; each pair gets the bits it gets alone."""
-    w, q = np.linalg.eigh(a)
-    if (low := w[0] if w.ndim == 1 else w[..., 0].min()) <= PD_FLOOR:
-        raise NotPositiveDefiniteError(
-            f"mean requires positive definite inputs; eigenvalue {low:.6e} at or below floor"
-        )
-    sq, qt = np.sqrt(w)[..., None, :], q.mT
-    half = (q * sq) @ qt
-    inv_half = (q * (1.0 / sq)) @ qt
-    c = inv_half @ b @ inv_half
-    c = (c + c.mT) / 2.0
-    wc, qc = np.linalg.eigh(c)
+    """``A sigma B`` over stacks ``(..., d, d)`` of symmetric matrices; each
+    pair gets the bits it gets alone.
+
+    With the Cholesky factor ``A = L L^T``, congruence invariance gives
+    ``A sigma B = L h(C) L^T`` for ``C = L^-1 B L^-T``: one factorization and
+    one ``eigh`` per pair.  The floors are checked on ``A`` and on ``C``.
+    ``tr(A^-1) = ||L^-1||_F^2`` bounds ``1 / lambda_min(A)`` from above, so
+    the exact smallest eigenvalue of ``A`` is computed only where the sum of
+    those norms over the stack reaches ``1 / PD_FLOOR``, or where the
+    factorization fails.  The geometric mean of ``2 x 2`` pairs takes the
+    closed form of :func:`_geometric_2x2`.
+    """
+    geometric = h is np.sqrt or (isinstance(h, RepresentingFunction) and h.kind == "geometric")
+    if geometric and a.shape[-1] == 2 and (out := _geometric_2x2(a, b)) is not None:
+        return out
+    try:
+        factor = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise _floor_error(np.linalg.eigvalsh(a)[..., 0].min()) from None
+    inv_factor = np.linalg.inv(factor)
+    if np.vdot(inv_factor, inv_factor) >= 1.0 / PD_FLOOR and (low := np.linalg.eigvalsh(a)[..., 0].min()) <= PD_FLOOR:
+        raise _floor_error(low)
+    c = inv_factor @ b @ inv_factor.mT
+    wc, qc = np.linalg.eigh((c + c.mT) / 2.0)
     if (low := wc[0] if wc.ndim == 1 else wc[..., 0].min()) <= PD_FLOOR:
-        raise NotPositiveDefiniteError(
-            f"mean requires positive definite inputs; eigenvalue {low:.6e} at or below floor"
-        )
+        raise _floor_error(low)
     with np.errstate(all="ignore"):
         hw = np.asarray(h(wc), dtype=float)
     if not np.isfinite(hw).all():
         bad = wc[~np.isfinite(hw)][0]
         raise SpectrumDomainError(f"representing function undefined at eigenvalue {float(bad)!r}")
-    inner = (qc * hw[..., None, :]) @ qc.mT
-    out = half @ inner @ half
+    out = factor @ ((qc * hw[..., None, :]) @ qc.mT) @ factor.mT
     return (out + out.mT) / 2.0
 
 
 def mean(sigma: MeanDescriptor, a: SymMatrix, b: SymMatrix) -> SymMatrix:
-    """Evaluate ``A sigma B`` through the A-side conjugation formula."""
+    """Evaluate ``A sigma B`` through the Cholesky congruence form
+    ``L h(L^-1 B L^-T) L^T`` with ``A = L L^T``, or, for the geometric mean
+    of ``2 x 2`` matrices, through its closed form (see the module text)."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return SymMatrix(_binary_mean(sigma.h, a.data, b.data))
@@ -261,27 +311,34 @@ def validate_representing(h: RepresentingFunction) -> RepresentingReport:
     )
 
 
-def _harmonic_arithmetic(h: RepresentingFunction, tol: float = 1e-12) -> tuple:
+#: Absolute slack of the harmonic/arithmetic comparisons.
+_BETWEEN_TOL = 1e-12
+
+
+def _harmonic_arithmetic(h: RepresentingFunction) -> tuple:
     """Whether ``h >= 2t/(1+t)`` and whether ``h <= (1+t)/2``, each up to an
-    absolute slack of ``tol`` on 1000 log-spaced points of ``[1e-4, 1e4]``;
-    both False where ``h`` is not finite."""
+    absolute slack of ``_BETWEEN_TOL`` on 1000 log-spaced points of
+    ``[1e-4, 1e4]``; both False where ``h`` is not finite."""
     t = np.geomspace(1e-4, 1e4, 1000)
     with np.errstate(all="ignore"):
         vals = np.asarray(h(t), dtype=float)
     if not np.isfinite(vals).all():
         return False, False
-    return bool((vals >= 2.0 * t / (1.0 + t) - tol).all()), bool((vals <= (1.0 + t) / 2.0 + tol).all())
+    return (
+        bool((vals >= 2.0 * t / (1.0 + t) - _BETWEEN_TOL).all()),
+        bool((vals <= (1.0 + t) / 2.0 + _BETWEEN_TOL).all()),
+    )
 
 
-def is_between_harmonic_arithmetic(h: RepresentingFunction, tol: float = 1e-12) -> bool:
+def is_between_harmonic_arithmetic(h: RepresentingFunction) -> bool:
     """Whether ``2t/(1+t) <= h(t) <= (1+t)/2`` on a fixed log grid.
 
     The grid is 1000 points on ``[1e-4, 1e4]``; the comparison allows an
-    absolute slack of ``tol``.  Weighted means with weight away from 1/2
+    absolute slack of ``1e-12``.  Weighted means with weight away from 1/2
     generally fail this: they dip below the symmetric harmonic curve on one
     side of ``t = 1``.
     """
-    return all(_harmonic_arithmetic(h, tol))
+    return all(_harmonic_arithmetic(h))
 
 
 #: Default stopping rule of the multi-matrix geometric mean.
@@ -293,27 +350,36 @@ def _alm(tuples: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """ALM mean of every tuple in a ``(B, n, d, d)`` stack, as ``(B, d, d)``.
 
     Each sweep stacks the leave-one-out sub-tuples of every tuple still
-    iterating into one recursive call.  A tuple stops at the sweep where no
-    member moved by more than ``tol * (1 + ||old||_F)``, as it would alone.
+    iterating into one call: of the binary kernel at ``n = 3``, of the
+    recursion above that.  A tuple stops at the sweep where no member moved
+    by more than ``tol * (1 + ||old||_F)``, as it would alone.
     """
     count, n, d = tuples.shape[:3]
     if n <= 2:
         return tuples[:, 0] if n == 1 else _binary_mean(np.sqrt, tuples[:, 0], tuples[:, 1])
-    others = [[j for j in range(n) if j != i] for i in range(n)]
+    if n == 3:
+        first, second = [1, 0, 0], [2, 2, 1]
+        sweep = lambda cur: _binary_mean(np.sqrt, cur[:, first], cur[:, second])
+    else:
+        others = [[j for j in range(n) if j != i] for i in range(n)]
+        sweep = lambda cur: _alm(cur[:, others].reshape(-1, n - 1, d, d), tol, max_iter).reshape(-1, n, d, d)
     out = np.empty((count, d, d))
-    active, cur, residual = np.arange(count), tuples, np.inf
+    active, cur = np.arange(count), tuples
     for _ in range(max_iter):
-        k = len(active)
-        nxt = _alm(cur[:, others].reshape(k * n, n - 1, d, d), tol, max_iter).reshape(k, n, d, d)
+        nxt = sweep(cur)
         # Frobenius norms with the one BLAS dot per matrix that np.linalg.norm uses
-        step, old = (nxt - cur).reshape(k, n, -1), cur.reshape(k, n, -1)
+        step, old = (nxt - cur).reshape(len(cur), n, -1), cur.reshape(len(cur), n, -1)
         delta = np.sqrt(np.vecdot(step, step))
         moving = (delta > tol * (1.0 + np.sqrt(np.vecdot(old, old)))).any(axis=1)
+        if moving.all():
+            cur = nxt
+            continue
         done = np.flatnonzero(~moving)
         out[active[done]] = sum(nxt[done, i] for i in range(n)) / n
-        if done.size == k:
+        if done.size == len(cur):
             return out
-        active, cur, residual = active[moving], nxt[moving], float(delta[moving].max())
+        active, cur = active[moving], nxt[moving]
+    residual = float(delta[moving].max())
     raise AlmConvergenceError(
         f"multi-matrix geometric mean did not converge after {max_iter} iterations "
         f"(last residual {residual:.3e})",
@@ -335,6 +401,8 @@ def alm_mean(
     """
     if not tol >= 0.0:
         raise ValueError(f"tolerance must be a nonnegative number, got {tol!r}")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     mats = list(mats)
     if not mats:
         raise ValueError("need at least one matrix")

@@ -48,7 +48,6 @@ from .kubo_ando import (
 )
 from .linmaps import MapDescriptor, _apply_map, identity_map, is_unital
 from .symmat import (
-    PD_FLOOR,
     SpectralBand,
     SymMatrix,
     _apply_scalar,
@@ -367,13 +366,11 @@ def _build_aahh(cfg, k, x):
 def _build_add_reverse(cfg, k, x):
     a, b = _pair(x)
     lhs = _apply_scalar(_mean(ARITHMETIC, a, b), cfg.f)
-    # A # B + |I - A^(-1/2) B A^(-1/2)| / 2 conjugated back by A^(1/2) is a
-    # single spectral transform of C = A^(-1/2) B A^(-1/2).
-    half = _apply_scalar(a, np.sqrt)
-    inv_half = _apply_scalar(a, lambda t: 1.0 / np.sqrt(t), domain_min=PD_FLOOR)
-    c = _symmetrize(inv_half @ b @ inv_half)
-    core = _apply_scalar(c, lambda t: np.sqrt(t) + 0.5 * np.abs(1.0 - t))
-    corrected = _symmetrize(half @ core @ half)
+    # A # B + A^(1/2) |I - C| A^(1/2) / 2 with C = A^(-1/2) B A^(-1/2) is one
+    # spectral transform of C conjugated back.  The congruence form of the
+    # mean kernel holds for any spectral function, monotone or not, so the
+    # kernel evaluates it as it evaluates a mean.
+    corrected = _binary_mean(lambda t: np.sqrt(t) + 0.5 * np.abs(1.0 - t), a, b)
     rhs = _apply_scalar(corrected, cfg.f)
     return lhs, rhs
 

@@ -157,6 +157,15 @@ class TestMeanCommand:
         assert out == ""
         assert err == f"error: tolerance must be a nonnegative number, got {float(tol)!r}\n"
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_bad_iteration_cap_is_one_line_error(self, cap, capsys):
+        # a cap below one used to be reported as non-convergence after 0 sweeps
+        paths = [str(Path(__file__).parent / "golden" / f"{name}.txt") for name in "ABC"]
+        code, out, err = run_cli(capsys, "mean", *paths, f"--max-iter={cap}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: max_iter must be at least 1, got {int(cap)}\n"
+
 
 class TestCheckCommand:
     def test_seeded_holds(self, capsys):

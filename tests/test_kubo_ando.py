@@ -203,6 +203,102 @@ class TestBinaryMean:
             ol.mean(ol.ARITHMETIC, SymMatrix.identity(2), SymMatrix.identity(3))
 
 
+def _congruence_h(t):
+    """The geometric mean's representing function under a handle that the
+    kernel does not recognize, so it takes the Cholesky path."""
+    return np.sqrt(t)
+
+
+def _mp_representing(h, t):
+    """``h(t)`` for a catalog representing function, in mpmath arithmetic."""
+    import mpmath
+
+    w = None if h.weight is None else mpmath.mpf(h.weight)
+    return {
+        "arithmetic": lambda: (1 + t) / 2,
+        "geometric": lambda: mpmath.sqrt(t),
+        "harmonic": lambda: 2 * t / (1 + t),
+        "weighted-arithmetic": lambda: (1 - w) + w * t,
+        "weighted-geometric": lambda: t**w,
+        "weighted-harmonic": lambda: t / ((1 - w) * t + w),
+    }[h.kind]()
+
+
+def _mp_means(a, b, hs):
+    """``A^(1/2) h(A^(-1/2) B A^(-1/2)) A^(1/2)`` for every ``h`` in ``hs``,
+    at 50 significant digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        w, q = mpmath.eigsy(mpmath.matrix(a.tolist()))
+        half = q * mpmath.diag([mpmath.sqrt(x) for x in w]) * q.T
+        inv_half = q * mpmath.diag([1 / mpmath.sqrt(x) for x in w]) * q.T
+        c = inv_half * mpmath.matrix(b.tolist()) * inv_half
+        wc, qc = mpmath.eigsy((c + c.T) / 2)
+        return [
+            np.array(
+                (half * qc * mpmath.diag([_mp_representing(h, x) for x in wc]) * qc.T * half).tolist(),
+                dtype=float,
+            )
+            for h in hs
+        ]
+
+
+class TestKernelAccuracy:
+    """The Cholesky congruence kernel and the 2x2 closed form against a
+    50-digit oracle and against each other."""
+
+    def test_against_mpmath_oracle(self):
+        pytest.importorskip("mpmath")
+        hs = [desc.h for desc in ol.catalog_means()]
+        worst = 0.0
+        for band in (SpectralBand(0.4, 3.0), SpectralBand(1e-2, 1e2)):
+            for dim in range(2, 6):
+                rng = np.random.default_rng(int(100 * dim + band.M))
+                for _ in range(6):
+                    a, b = ol.random_spd(dim, band, rng=rng).data, ol.random_spd(dim, band, rng=rng).data
+                    for h, exact in zip(hs, _mp_means(a, b, hs)):
+                        err = np.abs(_binary_mean(h, a, b) - exact).max() / np.abs(exact).max()
+                        worst = max(worst, err)
+        assert worst <= 5e-14
+
+    def test_closed_form_matches_cholesky_path(self):
+        for band in (SpectralBand(0.2, 5.0), SpectralBand(1e-2, 1e2)):
+            a, b = spd_tuple(21, 40, 2, band), spd_tuple(22, 40, 2, band)
+            for x, y in ((a, b), (a[0], b[0]), (a.reshape(4, 10, 2, 2), b.reshape(4, 10, 2, 2))):
+                general = _binary_mean(_congruence_h, x, y)
+                for h in (np.sqrt, ol.GEOMETRIC.h):
+                    closed = _binary_mean(h, x, y)
+                    assert closed.shape == general.shape
+                    assert np.abs(closed - general).max() <= 1e-14 * np.abs(general).max()
+
+    def test_entries_past_the_closed_form_range_take_the_cholesky_path(self):
+        a, b = 1e160 * spd_tuple(23, 3, 2), 1e160 * spd_tuple(24, 3, 2)
+        with np.errstate(all="ignore"):
+            got = _binary_mean(np.sqrt, a, b)
+        assert_allclose(got, _binary_mean(_congruence_h, a, b), rtol=1e-14)
+
+    @pytest.mark.parametrize("h", [np.sqrt, ol.GEOMETRIC.h, _congruence_h, ol.HARMONIC.h])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_floor_errors_on_both_paths(self, h, dim):
+        good = np.eye(dim)
+        nearly_singular = np.diag([1.0] + [1e-14] * (dim - 1))
+        indefinite = np.diag([1.0] + [-0.5] * (dim - 1))
+        rng = np.random.default_rng(dim)
+        a = ol.random_spd(dim, SpectralBand(0.5, 2.0), rng=rng).data
+        w, q = np.linalg.eigh(a)
+        half = (q * np.sqrt(w)) @ q.T
+        # A^(-1/2) B A^(-1/2) = diag(1e-14, 1, ...)
+        b = half @ np.diag([1e-14] + [1.0] * (dim - 1)) @ half
+        stack = spd_tuple(25, 4, dim, SpectralBand(0.5, 2.0))
+        for x, y in ((nearly_singular, good), (indefinite, good), (a, b)):
+            with pytest.raises(ol.NotPositiveDefiniteError, match="at or below floor"):
+                _binary_mean(h, x, y)
+            # one bad pair fails a whole stack
+            with pytest.raises(ol.NotPositiveDefiniteError, match="at or below floor"):
+                _binary_mean(h, np.concatenate([stack, x[None]]), np.concatenate([stack, y[None]]))
+
+
 class TestBetweenness:
     def test_catalog_symmetric_means_are_between(self):
         for desc in (ol.ARITHMETIC, ol.GEOMETRIC, ol.HARMONIC):
@@ -251,6 +347,22 @@ class TestAlm:
             with pytest.raises(ol.AlmConvergenceError) as err:
                 ol.alm_mean(mats, max_iter=1)
             assert 0 < err.value.residual < np.inf
+
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_iteration_cap_below_one_is_rejected(self, cap):
+        mats = [SymMatrix(a) for a in spd_tuple(5, 3, 2)]
+        with pytest.raises(ValueError, match="max_iter"):
+            ol.alm_mean(mats, max_iter=cap)
+
+    @pytest.mark.parametrize("n, dim", [(3, d) for d in range(2, 6)] + [(4, 2), (4, 3)])
+    def test_determinant_identity(self, n, dim):
+        # det G = prod det(A_i)^(1/n) for the ALM mean
+        for k in range(2):
+            arrays = spd_tuple(500 + 10 * n + dim + 100 * k, n, dim)
+            got = np.linalg.det(ol.alm_mean([SymMatrix(a) for a in arrays]).data)
+            want = np.prod(np.linalg.det(arrays) ** (1.0 / n))
+            assert abs(got - want) <= 1e-12 * want
 
 
 class TestStackedAlm:
