@@ -8,12 +8,16 @@ normalized so that ``h(1) = 1``; the matrix value is
 evaluated in the equal congruence form ``L h(L^-1 B L^-T) L^T`` with the
 Cholesky factor ``A = L L^T``: one factorization and one symmetric
 eigensolve per pair.  The geometric mean of ``2 x 2`` pairs needs no
-eigensolver: ``A # B = (beta A + alpha B) / sqrt(tr(adj(A) B) + 2 alpha beta)``
-with ``alpha = sqrt(det A)`` and ``beta = sqrt(det B)``.  The catalog covers the arithmetic, geometric and harmonic means together
-with their weighted versions, plus validated custom representing
-functions.  Validation is deterministic: normalization and positivity on a
-fixed log grid, and operator monotonicity through the Loewner-matrix test
-of :mod:`opmeanlab.functions`.  The multi-matrix geometric mean is the
+eigensolver:
+
+    ``A # B = (beta A + alpha B) / sqrt(tr(adj(A) B) + 2 alpha beta)``
+
+with ``alpha = sqrt(det A)`` and ``beta = sqrt(det B)``.  The catalog
+covers the arithmetic, geometric and harmonic means together with their
+weighted versions, plus validated custom representing functions.
+Validation is deterministic: normalization and positivity on a fixed log
+grid, and operator monotonicity through the Loewner-matrix test of
+:mod:`opmeanlab.functions`.  The multi-matrix geometric mean is the
 symmetrization fixed-point construction that replaces each matrix by the
 mean of the remaining ones until the tuple stops moving.  Its sub-tuples
 are swept in lock-step as stacked arrays through the one binary-mean
@@ -265,7 +269,10 @@ def _binary_mean(h: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise _floor_error(np.linalg.eigvalsh(a)[..., 0].min()) from None
     inv_factor = np.linalg.inv(factor)
-    if np.vdot(inv_factor, inv_factor) >= 1.0 / PD_FLOOR and (low := np.linalg.eigvalsh(a)[..., 0].min()) <= PD_FLOOR:
+    if (
+        np.vdot(inv_factor, inv_factor) >= 1.0 / PD_FLOOR
+        and (low := np.linalg.eigvalsh(a)[..., 0].min()) <= PD_FLOOR
+    ):
         raise _floor_error(low)
     c = inv_factor @ b @ inv_factor.mT
     wc, qc = np.linalg.eigh((c + c.mT) / 2.0)
@@ -357,16 +364,15 @@ def _alm(tuples: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     count, n, d = tuples.shape[:3]
     if n <= 2:
         return tuples[:, 0] if n == 1 else _binary_mean(np.sqrt, tuples[:, 0], tuples[:, 1])
-    if n == 3:
-        first, second = [1, 0, 0], [2, 2, 1]
-        sweep = lambda cur: _binary_mean(np.sqrt, cur[:, first], cur[:, second])
-    else:
-        others = [[j for j in range(n) if j != i] for i in range(n)]
-        sweep = lambda cur: _alm(cur[:, others].reshape(-1, n - 1, d, d), tol, max_iter).reshape(-1, n, d, d)
+    others = [[j for j in range(n) if j != i] for i in range(n)]
+    first, second = [1, 0, 0], [2, 2, 1]  # the pairs others[i] when n = 3
     out = np.empty((count, d, d))
     active, cur = np.arange(count), tuples
     for _ in range(max_iter):
-        nxt = sweep(cur)
+        if n == 3:
+            nxt = _binary_mean(np.sqrt, cur[:, first], cur[:, second])
+        else:
+            nxt = _alm(cur[:, others].reshape(-1, n - 1, d, d), tol, max_iter).reshape(-1, n, d, d)
         # Frobenius norms with the one BLAS dot per matrix that np.linalg.norm uses
         step, old = (nxt - cur).reshape(len(cur), n, -1), cur.reshape(len(cur), n, -1)
         delta = np.sqrt(np.vecdot(step, step))

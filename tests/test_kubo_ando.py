@@ -235,13 +235,11 @@ def _mp_means(a, b, hs):
         inv_half = q * mpmath.diag([1 / mpmath.sqrt(x) for x in w]) * q.T
         c = inv_half * mpmath.matrix(b.tolist()) * inv_half
         wc, qc = mpmath.eigsy((c + c.T) / 2)
-        return [
-            np.array(
-                (half * qc * mpmath.diag([_mp_representing(h, x) for x in wc]) * qc.T * half).tolist(),
-                dtype=float,
-            )
-            for h in hs
-        ]
+        means = []
+        for h in hs:
+            inner = qc * mpmath.diag([_mp_representing(h, x) for x in wc]) * qc.T
+            means.append(np.array((half * inner * half).tolist(), dtype=float))
+        return means
 
 
 class TestKernelAccuracy:
@@ -256,7 +254,8 @@ class TestKernelAccuracy:
             for dim in range(2, 6):
                 rng = np.random.default_rng(int(100 * dim + band.M))
                 for _ in range(6):
-                    a, b = ol.random_spd(dim, band, rng=rng).data, ol.random_spd(dim, band, rng=rng).data
+                    a = ol.random_spd(dim, band, rng=rng).data
+                    b = ol.random_spd(dim, band, rng=rng).data
                     for h, exact in zip(hs, _mp_means(a, b, hs)):
                         err = np.abs(_binary_mean(h, a, b) - exact).max() / np.abs(exact).max()
                         worst = max(worst, err)
