@@ -34,8 +34,8 @@ def main():
     rng = np.random.default_rng(20240615)
     band = ol.SpectralBand(1.0, 2.0)
 
-    a = ol.random_spd(2, band, rng)
-    b = ol.random_spd(2, band, rng)
+    a = ol.random_spd(2, band, rng=rng)
+    b = ol.random_spd(2, band, rng=rng)
 
     banner("Two seeded matrices with spectra inside [1, 2]")
     show("A", a)
@@ -85,7 +85,7 @@ def main():
     print(f"L(A,B) <= A holds: {between_hi.holds}")
 
     banner("Multi-matrix geometric mean (iterative)")
-    mats = [ol.random_spd(3, band, rng) for _ in range(3)]
+    mats = [ol.random_spd(3, band, rng=rng) for _ in range(3)]
     g3 = ol.alm_mean(mats)
     show("G(A1, A2, A3)", g3)
 

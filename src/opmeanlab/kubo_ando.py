@@ -19,9 +19,18 @@ Validation is deterministic: normalization and positivity on a fixed log
 grid, and operator monotonicity through the Loewner-matrix test of
 :mod:`opmeanlab.functions`.  The multi-matrix geometric mean is the
 symmetrization fixed-point construction that replaces each matrix by the
-mean of the remaining ones until the tuple stops moving.  Its sub-tuples
-are swept in lock-step as stacked arrays through the one binary-mean
-kernel, and each converges on its own.
+mean of the remaining ones until the tuple stops moving.  It runs in one
+of two regimes, both exact to the bit:
+
+* stacked: the sub-tuples of a level are swept in lock-step as stacked
+  arrays through the one binary-mean kernel, and each converges on its
+  own; exact because every pair of a stack gets the bits it gets alone;
+* floats: an ``n = 3`` level of a few ``2 x 2`` tuples, where numpy's
+  per-call cost outweighs the arithmetic, iterates each tuple in Python
+  floats with the closed form's IEEE operations in the stacked order;
+  exact because close stopping decisions are settled by the same
+  ``np.vecdot`` as the stacked sweep, and any pair near a floor or an
+  overflow hands the whole level back to the stacked sweep.
 
 Invariant tolerances (the test suite verifies these on random instances):
 
@@ -41,6 +50,7 @@ Invariant tolerances (the test suite verifies these on random instances):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -218,6 +228,7 @@ def _floor_error(low) -> NotPositiveDefiniteError:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _geometric_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """``A # B`` over stacks ``(..., 2, 2)`` with no eigensolver.
 
@@ -229,14 +240,16 @@ def _geometric_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     ``det(B - lambda A) = det(A) lambda^2 - t lambda + det(B)``; the smaller
     one is computed only where ``det(B) / t``, which bounds it from below
     when ``t > 0``, reaches the floor.  Returns None where products of
-    entries overflow (entries beyond about 1e154), for the Cholesky path.
+    entries overflow (entries beyond about 1e154), for the Cholesky path;
+    that overflow is expected, so it raises no floating-point warning.
     """
     a00, a01, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
     b00, b01, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 1]
-    if (low := (a00 + a11 - np.hypot(a00 - a11, 2.0 * a01)).min() / 2.0) <= PD_FLOOR:
+    two_a01 = 2.0 * a01
+    if (low := (a00 + a11 - np.hypot(a00 - a11, two_a01)).min() / 2.0) <= PD_FLOOR:
         raise _floor_error(low)
     det_a, det_b = a00 * a11 - a01 * a01, b00 * b11 - b01 * b01
-    t = a00 * b11 + a11 * b00 - 2.0 * a01 * b01
+    t = a00 * b11 + a11 * b00 - two_a01 * b01
     if not ((det_b > PD_FLOOR * t) & (t > 0.0)).all() and (
         low := ((t - np.sqrt(np.maximum(t * t - 4.0 * det_a * det_b, 0.0))) / (2.0 * det_a)).min()
     ) <= PD_FLOOR:
@@ -352,35 +365,140 @@ def is_between_harmonic_arithmetic(h: RepresentingFunction) -> bool:
 _ALM_TOL = 1e-12
 _ALM_MAX_ITER = 1000
 
+#: Largest ``n = 3`` level of ``2 x 2`` tuples that :func:`_alm` iterates in
+#: Python floats.  One stacked sweep costs about as much as one float sweep
+#: of this many tuples (measured on a 2-core 2.1 GHz Xeon, numpy 2.4).
+_FLOAT_LEVEL_MAX = 12
 
+#: Relative gap by which a float-side stopping norm must clear its limit for
+#: the decision to stand.  The summation orders of ``np.vecdot`` and of
+#: Python differ by a few ulps; closer cases are decided by ``np.vecdot``.
+_CLEAR = 1e-12
+
+
+def _geometric_floats(a: list, b: list) -> list | None:
+    """One pair of :func:`_geometric_2x2` on ``[x00, x01, x10, x11]`` lists
+    of Python floats, with the same IEEE operations in the same order.
+
+    Returns None outside the regime where every decision of the stacked
+    kernel is known: an ``A`` floor within ``2 * PD_FLOOR`` (or within the
+    ulp of ``tr A`` by which ``math.hypot`` and ``np.hypot`` may differ), a
+    failed bound on ``C``, a negative determinant or a non-finite ``s``.
+    """
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    trace, two_a01 = a00 + a11, 2.0 * a01
+    if not (trace - math.hypot(a00 - a11, two_a01)) / 2.0 > 2.0 * PD_FLOOR + 1e-15 * trace:
+        return None
+    det_a, det_b = a00 * a11 - a01 * a01, b00 * b11 - b01 * b01
+    t = a00 * b11 + a11 * b00 - two_a01 * b01
+    if not (det_b > PD_FLOOR * t and t > 0.0 and det_a >= 0.0):
+        return None
+    alpha, beta = math.sqrt(det_a), math.sqrt(det_b)
+    s = math.sqrt(t + 2.0 * alpha * beta)
+    if not s < math.inf:
+        return None
+    p, q = beta / s, alpha / s
+    return [p * a00 + q * b00, p * a01 + q * b01, p * a10 + q * b10, p * a11 + q * b11]
+
+
+def _alm3_floats(tuples: np.ndarray, tol: float, max_iter: int) -> np.ndarray | None:
+    """The ``n = 3`` level of :func:`_alm` on ``(B, 3, 2, 2)`` tuples, one
+    tuple at a time in Python floats; bitwise the stacked sweep, or None
+    where the stacked sweep must run the level instead.
+
+    Means and averages repeat the stacked kernel's operations.  A stopping
+    decision stands when every member's norm clears its limit by the
+    relative gap ``_CLEAR``; otherwise the tuple's norms are taken with
+    ``np.vecdot``, as in the stacked sweep.  Any pair outside the regime of
+    :func:`_geometric_floats`, a norm that is not finite, or a tuple still
+    moving after ``max_iter`` sweeps returns None, so that the stacked sweep
+    raises its own error with its own residual.
+    """
+    out = []
+    for cur in tuples.reshape(-1, 3, 4).tolist():
+        for _ in range(max_iter):
+            c0, c1, c2 = cur
+            nxt = [_geometric_floats(c1, c2), _geometric_floats(c0, c2), _geometric_floats(c0, c1)]
+            if None in nxt:
+                return None
+            moving = razor = False
+            for (n0, n1, n2, n3), (o0, o1, o2, o3) in zip(nxt, cur):
+                d0, d1, d2, d3 = n0 - o0, n1 - o1, n2 - o2, n3 - o3
+                delta = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3)
+                size = math.sqrt(o0 * o0 + o1 * o1 + o2 * o2 + o3 * o3)
+                if not delta + size < math.inf:
+                    return None
+                limit = tol * (1.0 + size)
+                if delta > limit * (1.0 + _CLEAR):
+                    moving = True
+                elif not delta < limit * (1.0 - _CLEAR):
+                    razor = True
+            if razor and not moving:
+                step, old = np.subtract(nxt, cur), np.array(cur)
+                delta = np.sqrt(np.vecdot(step, step))
+                moving = bool((delta > tol * (1.0 + np.sqrt(np.vecdot(old, old)))).any())
+            cur = nxt
+            if not moving:
+                out.append([(0.0 + x + y + z) / 3 for x, y, z in zip(*cur)])
+                break
+        else:
+            return None
+    return np.array(out).reshape(-1, 2, 2)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _alm(tuples: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """ALM mean of every tuple in a ``(B, n, d, d)`` stack, as ``(B, d, d)``.
 
     Each sweep stacks the leave-one-out sub-tuples of every tuple still
     iterating into one call: of the binary kernel at ``n = 3``, of the
     recursion above that.  A tuple stops at the sweep where no member moved
-    by more than ``tol * (1 + ||old||_F)``, as it would alone.
+    by more than ``tol * (1 + ||old||_F)``, as it would alone.  Norms of
+    entries past about 1e154 overflow, which would stop a tuple with an
+    infinite or NaN limit; a tuple that stops with a norm that is not
+    finite raises ``OverflowError`` instead, and the overflow is not
+    warned about.  A norm that overflows in a tuple that keeps moving
+    changes no decision: some other member moved by more than its limit.
+
+    An ``n = 3`` level of at most ``_FLOAT_LEVEL_MAX`` tuples of ``2 x 2``
+    matrices, where numpy's per-call cost outweighs its arithmetic, runs in
+    Python floats instead (:func:`_alm3_floats`).  That regime is exact by
+    construction: it performs the closed form's IEEE operations in the
+    stacked order, settles close stopping decisions with the stacked
+    ``np.vecdot``, and hands the whole level back to the stacked sweep on
+    any pair or norm where a decision could differ.  The stacked regime is
+    exact because each pair of a stack gets the bits it gets alone.
     """
     count, n, d = tuples.shape[:3]
     if n <= 2:
         return tuples[:, 0] if n == 1 else _binary_mean(np.sqrt, tuples[:, 0], tuples[:, 1])
+    if (
+        n == 3
+        and d == 2
+        and count <= _FLOAT_LEVEL_MAX
+        and (means := _alm3_floats(tuples, tol, max_iter)) is not None
+    ):
+        return means
     others = [[j for j in range(n) if j != i] for i in range(n)]
-    first, second = [1, 0, 0], [2, 2, 1]  # the pairs others[i] when n = 3
+    first, second = np.array([1, 0, 0]), np.array([2, 2, 1])  # the pairs others[i] when n = 3
     out = np.empty((count, d, d))
     active, cur = np.arange(count), tuples
     for _ in range(max_iter):
         if n == 3:
-            nxt = _binary_mean(np.sqrt, cur[:, first], cur[:, second])
+            nxt = _binary_mean(np.sqrt, np.take(cur, first, axis=1), np.take(cur, second, axis=1))
         else:
             nxt = _alm(cur[:, others].reshape(-1, n - 1, d, d), tol, max_iter).reshape(-1, n, d, d)
         # Frobenius norms with the one BLAS dot per matrix that np.linalg.norm uses
         step, old = (nxt - cur).reshape(len(cur), n, -1), cur.reshape(len(cur), n, -1)
-        delta = np.sqrt(np.vecdot(step, step))
-        moving = (delta > tol * (1.0 + np.sqrt(np.vecdot(old, old)))).any(axis=1)
+        delta, size = np.sqrt(np.vecdot(step, step)), np.sqrt(np.vecdot(old, old))
+        moving = (delta > tol * (1.0 + size)).any(axis=1)
         if moving.all():
             cur = nxt
             continue
         done = np.flatnonzero(~moving)
+        if not math.isfinite(delta[done].max() + size[done].max()):
+            raise OverflowError("multi-matrix geometric mean: a stopping norm is not finite")
         out[active[done]] = sum(nxt[done, i] for i in range(n)) / n
         if done.size == len(cur):
             return out

@@ -394,6 +394,7 @@ def _as_generator(rng) -> np.random.Generator:
 def random_spd(
     dim: int,
     band: SpectralBand,
+    *,
     pinned: bool = False,
     rng=None,
 ) -> SymMatrix:

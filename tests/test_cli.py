@@ -142,6 +142,28 @@ class TestMeanCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "did not converge" in err
 
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_entries_past_1e154(self, tmp_path, count):
+        # the 2x2 closed form overflows and falls back without a warning; the
+        # ALM stopping norms overflow, which used to stop after one sweep
+        mats = [np.diag([1.0, 4.0]), np.diag([4.0, 1.0]), np.array([[2.0, 1.0], [1.0, 3.0]])]
+        paths = []
+        for i, a in enumerate(mats[:count]):
+            p = tmp_path / f"m{i}.txt"
+            write_sym_matrix(p, SymMatrix(1e160 * a))
+            paths.append(str(p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "opmeanlab.cli", "mean", *paths, "--format", "json"],
+            capture_output=True,
+            text=True,
+        )
+        if count == 2:
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert_allclose(json.loads(proc.stdout)["result"], 2e160 * np.eye(2), rtol=1e-14, atol=0)
+        else:
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr.startswith("error: numeric overflow") and proc.stderr.count("\n") == 1
+
     def test_single_file_rejected(self, tmp_path, capsys):
         p = tmp_path / "m.txt"
         write_sym_matrix(p, SymMatrix.identity(2))

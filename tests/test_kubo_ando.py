@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 import opmeanlab as ol
 from opmeanlab import SpectralBand, SymMatrix
-from opmeanlab.kubo_ando import _alm, _binary_mean
+from opmeanlab import kubo_ando
+from opmeanlab.kubo_ando import _FLOAT_LEVEL_MAX, _alm, _alm3_floats, _binary_mean
 
 
 def spd_pair(seed, band=SpectralBand(0.5, 2.0), dim=3):
@@ -354,6 +355,14 @@ class TestAlm:
         with pytest.raises(ValueError, match="max_iter"):
             ol.alm_mean(mats, max_iter=cap)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stopping_norm_overflow(self, dim):
+        # past about 1e154 the Frobenius norms overflow; inf > inf used to
+        # stop the sweep after one pass, 3% off the scaled mean at d = 2
+        mats = [SymMatrix(1e160 * a) for a in spd_tuple(31, 3, dim)]
+        with pytest.raises(OverflowError, match="stopping norm"):
+            ol.alm_mean(mats)
+
     @pytest.mark.parametrize("n, dim", [(3, d) for d in range(2, 6)] + [(4, 2), (4, 3)])
     def test_determinant_identity(self, n, dim):
         # det G = prod det(A_i)^(1/n) for the ALM mean
@@ -397,3 +406,109 @@ class TestStackedAlm:
             stacked = _binary_mean(desc.h, a, b)
             for i in range(5):
                 assert stacked[i].tobytes() == _binary_mean(desc.h, a[i], b[i]).tobytes()
+
+
+class TestStackedAlmOnStackedPath(TestStackedAlm):
+    """The stacked-ALM tests again, with the small stacks that the float
+    level would otherwise take kept on the stacked sweep."""
+
+    @pytest.fixture(autouse=True)
+    def _stacked(self, monkeypatch):
+        monkeypatch.setattr(kubo_ando, "_FLOAT_LEVEL_MAX", 0)
+
+
+BANDS = [
+    SpectralBand(1.0, 2.0),
+    SpectralBand(0.4, 3.0),
+    SpectralBand(1e-2, 1e2),
+    SpectralBand(1.0, 1.0001),
+]
+
+
+def _on_stacked_path(call):
+    """``call()`` with every ALM level on the stacked sweep."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kubo_ando, "_FLOAT_LEVEL_MAX", 0)
+        return call()
+
+
+def _both_paths(tuples, tol=1e-12):
+    """``_alm`` of ``tuples`` as it runs, small ``n = 3`` levels in floats,
+    and with every level stacked."""
+
+    def run():
+        return _alm(tuples, tol, 1000)
+
+    return run(), _on_stacked_path(run)
+
+
+def _raised(tuples, max_iter=1000):
+    """What ``_alm`` raises on ``tuples`` on each path, as ``(type, message,
+    residual)``."""
+
+    def run():
+        with pytest.raises(Exception) as err:
+            _alm(tuples, 1e-12, max_iter)
+        return err.type, str(err.value), getattr(err.value, "residual", None)
+
+    return run(), _on_stacked_path(run)
+
+
+class TestFloatLevel:
+    """The n = 3 level of 2x2 tuples in Python floats against the stacked
+    sweep: bitwise the same means, errors, messages and residuals."""
+
+    @pytest.mark.parametrize("band", BANDS, ids=str)
+    @pytest.mark.parametrize("clear", [kubo_ando._CLEAR, 1.0])
+    def test_n3_bitwise_up_to_the_crossover(self, monkeypatch, band, clear):
+        # a gap of 1.0 sends nearly every stopping decision to np.vecdot
+        monkeypatch.setattr(kubo_ando, "_CLEAR", clear)
+        for count in range(1, _FLOAT_LEVEL_MAX + 2):
+            tuples = np.stack([spd_tuple(100 * count + k, 3, 2, band) for k in range(count)])
+            if count <= _FLOAT_LEVEL_MAX:
+                assert _alm3_floats(tuples, 1e-12, 1000) is not None
+            floats, stacked = _both_paths(tuples)
+            assert floats.tobytes() == stacked.tobytes(), count
+
+    @pytest.mark.parametrize("band", BANDS, ids=str)
+    def test_n4_bitwise_across_the_crossover(self, band):
+        # four n = 3 sub-tuples per n = 4 tuple: 4 and 12 in floats, 16 stacked
+        for count in (1, 3, 4):
+            tuples = np.stack([spd_tuple(200 * count + k, 4, 2, band) for k in range(count)])
+            floats, stacked = _both_paths(tuples)
+            assert floats.tobytes() == stacked.tobytes(), count
+
+    def test_other_tolerances_bitwise(self):
+        tuples = np.stack([spd_tuple(300 + k, 3, 2) for k in range(5)])
+        for tol in (1e-14, 1e-8, 1e-3, np.inf):
+            floats, stacked = _both_paths(tuples, tol)
+            assert floats.tobytes() == stacked.tobytes(), tol
+
+    def test_signed_zeros_bitwise(self):
+        # the stacked average adds to 0 first, which turns -0.0 into 0.0
+        tuples = np.stack([FAST, FAST])
+        tuples[:, :, 0, 1] = tuples[:, :, 1, 0] = -0.0
+        floats, stacked = _both_paths(tuples)
+        assert floats.tobytes() == stacked.tobytes()
+
+    def test_floor_error_parity(self):
+        tuples = np.stack([FAST, FAST, FAST])
+        tuples[1, 0] = np.diag([1.0, 1e-14])
+        assert _alm3_floats(tuples, 1e-12, 1000) is None
+        floats, stacked = _raised(tuples)
+        assert floats == stacked
+        assert floats[0] is ol.NotPositiveDefiniteError
+
+    def test_iteration_cap_parity(self):
+        tuples = np.stack([FAST, spd_tuple(7, 3, 2), FAST])
+        assert _alm3_floats(tuples, 1e-12, 30) is None
+        floats, stacked = _raised(tuples, max_iter=30)
+        assert floats == stacked
+        assert floats[0] is ol.AlmConvergenceError and floats[2] > 0
+
+    def test_overflow_parity(self):
+        tuples = 1e160 * np.stack([spd_tuple(31, 3, 2), FAST])
+        assert _alm3_floats(tuples, 1e-12, 1000) is None
+        floats, stacked = _raised(tuples)
+        assert floats == stacked
+        assert floats[0] is OverflowError

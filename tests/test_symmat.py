@@ -200,6 +200,11 @@ class TestRandomSpd:
         with pytest.raises(DimensionMismatchError):
             ol.random_spd(0, SpectralBand(1.0, 2.0))
 
+    def test_pin_flag_and_generator_are_keyword_only(self):
+        # a generator passed third used to become the pin flag
+        with pytest.raises(TypeError):
+            ol.random_spd(2, SpectralBand(1.0, 2.0), np.random.default_rng(7))
+
 
 def _reference_draw(dim, band, count, seed, start, stop):
     """The seeded draw as one ``default_rng([seed, i])`` per trial: per
