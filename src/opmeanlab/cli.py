@@ -118,7 +118,7 @@ def parse_function(text: str):
     head, _, rest = text.partition(":")
     if head == "power":
         return power_function(float(rest))
-    if head == "spower":
+    if head == "spower" and rest.count(",") == 1:
         c, p = rest.split(",")
         return scaled_power_function(float(c), float(p))
     raise ValueError(
@@ -128,7 +128,7 @@ def parse_function(text: str):
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--band", default=None, help="spectral band m:M (default 1:2)")
-    p.add_argument("--dim", type=int, default=2, help="matrix dimension for drawn inputs")
+    p.add_argument("--dim", type=int, default=None, help="matrix dimension for drawn inputs")
     p.add_argument("--sigma", default=None, help="mean sigma, e.g. geometric or arithmetic:0.3")
     p.add_argument("--tau", default=None, help="mean tau (same grammar as --sigma)")
     p.add_argument("--phi", default=None, help="map phi: identity|trace|scale:k|pinch:...|compress:file|unitalize:<map>")
@@ -137,7 +137,7 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--g", default=None, help="scalar function g (same grammar as --f)")
     p.add_argument("--p", type=float, default=None, help="exponent p")
     p.add_argument("--q", type=float, default=None, help="exponent q")
-    p.add_argument("--n-matrices", type=int, default=3, help="inputs for multi-matrix statements")
+    p.add_argument("--n-matrices", type=int, default=None, help="inputs for multi-matrix statements")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--skip-band-check", action="store_true", help="skip band validation of explicit matrices")
     p.add_argument("--expect-violation", action="store_true", help="treat a found violation as the expected outcome")
@@ -149,21 +149,28 @@ def _add_report_flags(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("text", "json"), default="text", help="stdout format")
 
 
+#: Parser of each statement flag given as text in the library's grammar;
+#: the numeric flags arrive parsed.
+_CONFIG_PARSERS = {
+    "band": parse_band,
+    "sigma": parse_mean,
+    "tau": parse_mean,
+    "phi": parse_map,
+    "psi": parse_map,
+    "f": parse_function,
+    "g": parse_function,
+}
+
+
 def build_config(args) -> StatementConfig:
-    return StatementConfig(
-        statement_id=args.statement,
-        band=parse_band(args.band) if args.band else SpectralBand(1.0, 2.0),
-        sigma=parse_mean(args.sigma) if args.sigma else GEOMETRIC,
-        tau=parse_mean(args.tau) if args.tau else GEOMETRIC,
-        phi=parse_map(args.phi) if args.phi else identity_map(),
-        psi=parse_map(args.psi) if args.psi else identity_map(),
-        f=parse_function(args.f) if args.f else IDENTITY,
-        g=parse_function(args.g) if args.g else IDENTITY,
-        p=args.p if args.p is not None else 1.0,
-        q=args.q if args.q is not None else 1.0,
-        dim=args.dim,
-        n_matrices=args.n_matrices,
-    )
+    """The statement of the given flags; an omitted flag keeps the default
+    of :class:`StatementConfig`."""
+    given = {}
+    for name in ("band", "sigma", "tau", "phi", "psi", "f", "g", "p", "q", "dim", "n_matrices"):
+        value = getattr(args, name)
+        if value is not None and value != "":
+            given[name] = _CONFIG_PARSERS[name](value) if name in _CONFIG_PARSERS else value
+    return StatementConfig(statement_id=args.statement, **given)
 
 
 def _config_dict(cfg: StatementConfig) -> dict:
@@ -275,7 +282,8 @@ def cmd_mean(args) -> int:
     else:
         if args.sigma and parse_mean(args.sigma).name != "geometric":
             raise ValueError("only the geometric mean is defined for three or more matrices")
-        result = alm_mean(mats, tol=args.tol, max_iter=args.max_iter)
+        given = {"tol": args.tol, "max_iter": args.max_iter}
+        result = alm_mean(mats, **{k: v for k, v in given.items() if v is not None})
         label = f"geometric ({len(mats)} matrices)"
     report = {
         "command": "mean",
@@ -511,8 +519,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mean", help="evaluate a mean on matrix files")
     p.add_argument("matrices", nargs="+", help="matrix files (two for a binary mean, more for the geometric)")
     p.add_argument("--sigma", default=None, help="mean to use for two matrices")
-    p.add_argument("--tol", type=float, default=1e-12, help="fixed-point tolerance for three or more")
-    p.add_argument("--max-iter", type=int, default=1000, help="fixed-point iteration cap")
+    p.add_argument("--tol", type=float, default=None, help="fixed-point tolerance for three or more")
+    p.add_argument("--max-iter", type=int, default=None, help="fixed-point iteration cap")
     _add_report_flags(p)
     p.set_defaults(func=cmd_mean)
 

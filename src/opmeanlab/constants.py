@@ -95,8 +95,13 @@ def secant_coeffs(phi: Callable, a: float, b: float) -> tuple:
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: Point count of the grid scan of a ratio maximum, and the bracket width at
+#: which its golden-section refinement stops.
+_GRID_POINTS = 10001
+_REFINE_WIDTH = 1e-12
 
-def _golden_max(fn: Callable, lo: float, hi: float, width: float = 1e-12) -> float:
+
+def _golden_max(fn: Callable, lo: float, hi: float) -> float:
     """Maximum value of a unimodal-enough ``fn`` on ``[lo, hi]``."""
     c = hi - _INV_GOLDEN * (hi - lo)
     d = lo + _INV_GOLDEN * (hi - lo)
@@ -104,7 +109,7 @@ def _golden_max(fn: Callable, lo: float, hi: float, width: float = 1e-12) -> flo
     fd = float(fn(d))
     best = max(fc, fd, float(fn(lo)), float(fn(hi)))
     for _ in range(400):
-        if hi - lo <= width:
+        if hi - lo <= _REFINE_WIDTH:
             break
         if fc >= fd:
             hi, d, fd = d, c, fc
@@ -118,32 +123,24 @@ def _golden_max(fn: Callable, lo: float, hi: float, width: float = 1e-12) -> flo
     return best
 
 
-def _grid_golden_max(
-    num: Callable, den: Callable, a: float, b: float, grid_points: int, width: float, not_finite: str
-) -> float:
+def _grid_golden_max(num: Callable, den: Callable, a: float, b: float, not_finite: str) -> float:
     """Maximum of ``num(t) / den(t)`` over ``[a, b]``: a dense grid scan
     followed by golden-section refinement of the cell around the best grid
     point.  A non-finite grid value raises ``ValueError(not_finite)``.
     """
-    x = np.linspace(a, b, grid_points)
+    x = np.linspace(a, b, _GRID_POINTS)
     with np.errstate(all="ignore"):
         vals = np.asarray(num(x), dtype=float) / den(x)
     if not np.isfinite(vals).all():
         raise ValueError(not_finite)
     i = int(np.argmax(vals))
     lo = x[max(i - 1, 0)]
-    hi = x[min(i + 1, grid_points - 1)]
+    hi = x[min(i + 1, _GRID_POINTS - 1)]
     ratio = lambda t: float(num(t)) / den(t)
-    return max(float(vals[i]), _golden_max(ratio, float(lo), float(hi), width))
+    return max(float(vals[i]), _golden_max(ratio, float(lo), float(hi)))
 
 
-def chord_ratio_max(
-    phi: Callable,
-    a: float,
-    b: float,
-    grid_points: int = 10001,
-    refine_width: float = 1e-12,
-) -> float:
+def chord_ratio_max(phi: Callable, a: float, b: float) -> float:
     """Maximum of ``phi(t) / (mu t + nu)`` over ``[a, b]``.
 
     ``(mu, nu)`` is the chord of ``phi`` on the same interval.  The chord
@@ -156,10 +153,7 @@ def chord_ratio_max(
         raise NonpositiveChordError(
             f"chord of {phi!r} is not positive on [{a!r}, {b!r}]"
         )
-    return _grid_golden_max(
-        phi, lambda t: mu * t + nu, a, b, grid_points, refine_width,
-        "ratio is not finite on the interval",
-    )
+    return _grid_golden_max(phi, lambda t: mu * t + nu, a, b, "ratio is not finite on the interval")
 
 
 def mp_alpha(h: Callable, band: SpectralBand) -> float:
@@ -220,9 +214,7 @@ def mp_gamma(f: Callable, g: Callable, h: Callable, band: SpectralBand) -> MPCon
         raise NonpositiveChordError(
             "alpha-corrected chord of g is not positive on the band"
         )
-    gamma = _grid_golden_max(
-        f, denom, band.m, band.M, 10001, 1e-12, "gamma ratio is not finite on the band"
-    )
+    gamma = _grid_golden_max(f, denom, band.m, band.M, "gamma ratio is not finite on the band")
     return MPConstants(
         mu_h=float(mu_h),
         nu_h=float(nu_h),

@@ -31,43 +31,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """A nonnegative scalar function on ``[0, inf)``, vectorized over arrays."""
+    """A nonnegative scalar function on ``[0, inf)``, vectorized over arrays.
 
-    kind: str
-    power: float = 1.0
-    coeff: float = 1.0
-    handle: Callable | None = None
-    label: str = ""
+    ``operator_monotone`` is the exact monotonicity class of a catalog
+    function, or None for a custom handle, which
+    :func:`is_operator_monotone` then puts to the Loewner-matrix test.
+    """
+
+    name: str
+    handle: Callable
+    operator_monotone: bool | None = None
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "identity":
-            return t
-        if self.kind == "power":
-            return t**self.power
-        if self.kind == "scaled-power":
-            return self.coeff * t**self.power
-        if self.kind == "exp-minus-one":
-            return np.expm1(t)
-        return np.asarray(self.handle(t), dtype=float)
-
-    @property
-    def name(self) -> str:
-        if self.label:
-            return self.label
-        if self.kind == "identity":
-            return "identity"
-        if self.kind == "power":
-            return f"power:{self.power:g}"
-        if self.kind == "scaled-power":
-            return f"spower:{self.coeff:g},{self.power:g}"
-        if self.kind == "exp-minus-one":
-            return "expm1"
-        return "custom"
+        return self.handle(np.asarray(t, dtype=float))
 
 
-IDENTITY = ScalarFunction(kind="identity")
-EXP_MINUS_ONE = ScalarFunction(kind="exp-minus-one")
+IDENTITY = ScalarFunction("identity", lambda t: t, True)
+EXP_MINUS_ONE = ScalarFunction("expm1", np.expm1, False)
 
 
 def power_function(p: float) -> ScalarFunction:
@@ -75,7 +55,7 @@ def power_function(p: float) -> ScalarFunction:
     p = float(p)
     if not 0.0 <= p < np.inf:
         raise ValueError(f"power must be nonnegative and finite, got {p!r}")
-    return ScalarFunction(kind="power", power=p)
+    return ScalarFunction(f"power:{p:g}", lambda t: t**p, p <= 1.0)
 
 
 def scaled_power_function(c: float, p: float) -> ScalarFunction:
@@ -85,7 +65,7 @@ def scaled_power_function(c: float, p: float) -> ScalarFunction:
         raise ValueError(f"coefficient must be positive and finite, got {c!r}")
     if not 0.0 <= p < np.inf:
         raise ValueError(f"power must be nonnegative and finite, got {p!r}")
-    return ScalarFunction(kind="scaled-power", power=p, coeff=c)
+    return ScalarFunction(f"spower:{c:g},{p:g}", lambda t: c * t**p, p <= 1.0)
 
 
 #: Relative slack of the increase, custom-handle and concavity checks, and
@@ -115,7 +95,7 @@ def custom_scalar(name: str, handle: Callable) -> ScalarFunction:
         raise ValueError("custom scalar function must be nonnegative on [0, inf)")
     if not _nondecreasing(vals):
         raise ValueError("custom scalar function must be monotone nondecreasing")
-    return ScalarFunction(kind="custom", handle=handle, label=name)
+    return ScalarFunction(name or "custom", lambda t: np.asarray(handle(t), dtype=float))
 
 
 #: Node count of the Loewner-matrix monotonicity test (log-spaced on
@@ -165,12 +145,8 @@ def is_operator_monotone(fn: ScalarFunction) -> bool:
     32 nodes of ``[1e-3, 1e3]``; it can only refute, so a True answer for a
     custom handle is numeric evidence rather than a proof.
     """
-    if fn.kind == "identity":
-        return True
-    if fn.kind in ("power", "scaled-power"):
-        return 0.0 <= fn.power <= 1.0
-    if fn.kind == "exp-minus-one":
-        return False
+    if fn.operator_monotone is not None:
+        return fn.operator_monotone
     return _loewner_margin(fn) >= -_LOEWNER_TOL
 
 

@@ -100,27 +100,20 @@ class AlmConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class RepresentingFunction:
-    """Representing function of a Kubo-Ando mean, normalized to ``h(1) = 1``."""
+    """Representing function of a Kubo-Ando mean, normalized to ``h(1) = 1``.
+
+    ``handle`` maps an array to an array of its shape; :func:`custom_mean`
+    wraps a user handle so that a scalar result broadcasts.  ``kind`` and
+    ``weight`` name the catalog family and its weight, for the closed form
+    of the geometric mean and for oracles that rebuild ``h`` exactly.
+    """
 
     kind: str
+    handle: Callable
     weight: float | None = None
-    handle: Callable | None = None
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "arithmetic":
-            return (1.0 + t) / 2.0
-        if self.kind == "weighted-arithmetic":
-            return (1.0 - self.weight) + self.weight * t
-        if self.kind == "geometric":
-            return np.sqrt(t)
-        if self.kind == "weighted-geometric":
-            return t**self.weight
-        if self.kind == "harmonic":
-            return 2.0 * t / (1.0 + t)
-        if self.kind == "weighted-harmonic":
-            return t / ((1.0 - self.weight) * t + self.weight)
-        return np.broadcast_to(np.asarray(self.handle(t), dtype=float), t.shape)
+        return self.handle(np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -159,27 +152,30 @@ def _weight_in_unit(w: float) -> float:
     return w
 
 
-ARITHMETIC = MeanDescriptor("arithmetic", RepresentingFunction("arithmetic"))
-GEOMETRIC = MeanDescriptor("geometric", RepresentingFunction("geometric"))
-HARMONIC = MeanDescriptor("harmonic", RepresentingFunction("harmonic"))
+ARITHMETIC = MeanDescriptor("arithmetic", RepresentingFunction("arithmetic", lambda t: (1.0 + t) / 2.0))
+GEOMETRIC = MeanDescriptor("geometric", RepresentingFunction("geometric", np.sqrt))
+HARMONIC = MeanDescriptor("harmonic", RepresentingFunction("harmonic", lambda t: 2.0 * t / (1.0 + t)))
 
 
 def weighted_arithmetic(w: float) -> MeanDescriptor:
     """Weighted arithmetic mean ``(1 - w) A + w B``."""
     w = _weight_in_unit(w)
-    return MeanDescriptor(f"arithmetic:{w:g}", RepresentingFunction("weighted-arithmetic", weight=w))
+    h = RepresentingFunction("weighted-arithmetic", lambda t: (1.0 - w) + w * t, w)
+    return MeanDescriptor(f"arithmetic:{w:g}", h)
 
 
 def weighted_geometric(eps: float) -> MeanDescriptor:
     """Weighted geometric mean with representing function ``t**eps``."""
     eps = _weight_in_unit(eps)
-    return MeanDescriptor(f"geometric:{eps:g}", RepresentingFunction("weighted-geometric", weight=eps))
+    h = RepresentingFunction("weighted-geometric", lambda t: t**eps, eps)
+    return MeanDescriptor(f"geometric:{eps:g}", h)
 
 
 def weighted_harmonic(w: float) -> MeanDescriptor:
     """Weighted harmonic mean ``((1 - w) A^-1 + w B^-1)^-1``."""
     w = _weight_in_unit(w)
-    return MeanDescriptor(f"harmonic:{w:g}", RepresentingFunction("weighted-harmonic", weight=w))
+    h = RepresentingFunction("weighted-harmonic", lambda t: t / ((1.0 - w) * t + w), w)
+    return MeanDescriptor(f"harmonic:{w:g}", h)
 
 
 def custom_mean(name: str, handle: Callable) -> MeanDescriptor:
@@ -189,7 +185,9 @@ def custom_mean(name: str, handle: Callable) -> MeanDescriptor:
     positivity) must pass; the monotonicity test is advisory and only
     reported, not enforced.
     """
-    h = RepresentingFunction("custom", handle=handle)
+    h = RepresentingFunction(
+        "custom", lambda t: np.broadcast_to(np.asarray(handle(t), dtype=float), t.shape)
+    )
     report = validate_representing(h)
     if not report.passed:
         problems = []

@@ -1,6 +1,8 @@
 """Positive linear maps on symmetric matrices.
 
-Descriptors are data, not closures, so reports can name them.  The catalog:
+Each descriptor carries its label, the dimensions it fixes and its action,
+all built once by its constructor, so reports can name a map and the trial
+engine can apply it without asking what kind it is.  The catalog:
 identity, compression ``A -> V^T A V`` by an isometry, pinching to a block
 partition, normalized trace ``A -> (tr A / n) I``, convex combinations of
 maps, and the positive scaling ``A -> k A`` (the one deliberately
@@ -12,6 +14,7 @@ the identity into a unital one by the two-sided correction
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -40,76 +43,25 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class MapDescriptor:
-    """One positive linear map; which fields are set depends on ``kind``."""
+    """One positive linear map.
+
+    ``input_dim`` and ``output_dim`` are the dimensions the map fixes, None
+    where it works at any dimension.  ``action`` maps a stack
+    ``(..., d, d)`` to the stack of images, before symmetrization.
+    """
 
     kind: str
-    isometry: np.ndarray | None = None
-    blocks: tuple | None = None
-    factor: float | None = None
-    parts: tuple | None = None
-    frame: np.ndarray | None = None
-    base: "MapDescriptor | None" = None
-
-    @property
-    def input_dim(self) -> int | None:
-        """Required input dimension, or None if the map is dimension-agnostic."""
-        if self.kind == "compression":
-            return int(self.isometry.shape[0])
-        if self.kind == "pinching":
-            return 1 + max(max(b) for b in self.blocks)
-        if self.kind == "convex-combination":
-            for _, part in self.parts:
-                d = part.input_dim
-                if d is not None:
-                    return d
-            return None
-        if self.kind == "sandwich":
-            base_dim = self.base.input_dim
-            if base_dim is not None:
-                return base_dim
-            # The correction frame was computed at a fixed dimension, so a
-            # sandwich of a dimension-agnostic map is dimension-fixed.
-            return int(self.frame.shape[0])
-        return None
-
-    @property
-    def output_dim(self) -> int | None:
-        if self.kind == "compression":
-            return int(self.isometry.shape[1])
-        if self.kind == "sandwich":
-            return int(self.frame.shape[0])
-        if self.kind == "convex-combination":
-            for _, part in self.parts:
-                d = part.output_dim
-                if d is not None:
-                    return d
-            return None
-        if self.kind == "pinching":
-            return self.input_dim
-        return None
+    label: str
+    input_dim: int | None
+    output_dim: int | None
+    action: Callable
 
     def describe(self) -> str:
-        if self.kind == "identity":
-            return "identity"
-        if self.kind == "compression":
-            r, c = self.isometry.shape
-            return f"compression({r}->{c})"
-        if self.kind == "pinching":
-            return "pinch:" + "|".join(",".join(str(i) for i in b) for b in self.blocks)
-        if self.kind == "normalized-trace":
-            return "trace"
-        if self.kind == "convex-combination":
-            inner = " + ".join(f"{w:g}*{p.describe()}" for w, p in self.parts)
-            return f"convex({inner})"
-        if self.kind == "scale":
-            return f"scale:{self.factor:g}"
-        if self.kind == "sandwich":
-            return f"unitalized({self.base.describe()})"
-        return self.kind
+        return self.label
 
 
 def identity_map() -> MapDescriptor:
-    return MapDescriptor(kind="identity")
+    return MapDescriptor("identity", "identity", None, None, lambda x: x)
 
 
 def compression(v) -> MapDescriptor:
@@ -117,11 +69,15 @@ def compression(v) -> MapDescriptor:
     v = np.array(v, dtype=float)
     if v.ndim != 2 or v.shape[0] < v.shape[1] or v.shape[1] < 1:
         raise DimensionMismatchError(f"isometry must be tall or square, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        bad = float(v[~np.isfinite(v)][0])
+        raise ValueError(f"compression frame must be finite, got entry {bad!r}")
     gram = v.T @ v
     if np.max(np.abs(gram - np.eye(v.shape[1]))) > 1e-11:
         raise ValueError("compression frame must have orthonormal columns (tolerance 1e-11)")
     v.setflags(write=False)
-    return MapDescriptor(kind="compression", isometry=v)
+    r, c = v.shape
+    return MapDescriptor("compression", f"compression({r}->{c})", r, c, lambda x: v.T @ x @ v)
 
 
 def pinching(blocks) -> MapDescriptor:
@@ -137,25 +93,37 @@ def pinching(blocks) -> MapDescriptor:
     d = 1 + flat[-1]
     if flat != list(range(d)):
         raise ValueError(f"blocks must partition 0..{d - 1} without repeats, got {norm_blocks}")
-    return MapDescriptor(kind="pinching", blocks=norm_blocks)
+    # np.where keeps the zeros off the blocks positive, as a fresh zero
+    # matrix does; a 0/1 mask product would leave -0.0 there
+    keep = np.zeros((d, d), dtype=bool)
+    for b in norm_blocks:
+        keep[np.ix_(b, b)] = True
+    label = "pinch:" + "|".join(",".join(str(i) for i in b) for b in norm_blocks)
+    return MapDescriptor("pinching", label, d, d, lambda x: np.where(keep, x, 0.0))
+
+
+def _normalized_trace(x: np.ndarray) -> np.ndarray:
+    d = x.shape[-1]
+    return np.eye(d) * (np.trace(x, axis1=-2, axis2=-1) / d)[..., None, None]
 
 
 def normalized_trace() -> MapDescriptor:
     """The map ``A -> (tr A / dim) * I``."""
-    return MapDescriptor(kind="normalized-trace")
+    return MapDescriptor("normalized-trace", "trace", None, None, _normalized_trace)
 
 
 def convex_combination(parts) -> MapDescriptor:
     """Convex combination ``sum w_i Phi_i`` of positive maps.
 
-    Weights must be nonnegative and sum to 1 within 1e-12; the parts must
-    agree on any fixed input and output dimensions.
+    Weights must be nonnegative, finite and sum to 1 within 1e-12; the
+    parts must agree on any fixed input and output dimensions.
     """
     norm = tuple((float(w), p) for w, p in parts)
     if not norm:
         raise ValueError("convex combination needs at least one part")
-    if any(w < 0.0 for w, _ in norm):
-        raise ValueError("weights must be nonnegative")
+    for w, _ in norm:
+        if not 0.0 <= w < np.inf:
+            raise ValueError(f"convex weights must be nonnegative and finite, got {w!r}")
     total = sum(w for w, _ in norm)
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")
@@ -163,7 +131,18 @@ def convex_combination(parts) -> MapDescriptor:
     out_dims = {p.output_dim for _, p in norm if p.output_dim is not None}
     if len(in_dims) > 1 or len(out_dims) > 1:
         raise DimensionMismatchError("convex parts disagree on dimensions")
-    return MapDescriptor(kind="convex-combination", parts=norm)
+
+    def action(x):
+        out = None
+        for w, part in norm:
+            term = w * _apply_map(part, x)
+            out = term if out is None else out + term
+        return out
+
+    label = "convex(" + " + ".join(f"{w:g}*{p.label}" for w, p in norm) + ")"
+    return MapDescriptor(
+        "convex-combination", label, next(iter(in_dims), None), next(iter(out_dims), None), action
+    )
 
 
 def scale(k: float) -> MapDescriptor:
@@ -171,43 +150,20 @@ def scale(k: float) -> MapDescriptor:
     k = float(k)
     if not 0.0 < k < np.inf:
         raise ValueError(f"scale factor must be positive and finite, got {k!r}")
-    return MapDescriptor(kind="scale", factor=k)
+    return MapDescriptor("scale", f"scale:{k:g}", None, None, lambda x: k * x)
 
 
 def _apply_map(phi: MapDescriptor, x: np.ndarray) -> np.ndarray:
     """:func:`apply_map` over a stack ``(..., d, d)``, each image symmetrized
     as :class:`SymMatrix` stores it."""
     d = x.shape[-1]
-    need = phi.input_dim
-    if need is not None and need != d:
+    if phi.input_dim is not None and phi.input_dim != d:
         raise DimensionMismatchError(
-            f"map {phi.describe()} expects dimension {need}, got {d}"
+            f"map {phi.label} expects dimension {phi.input_dim}, got {d}"
         )
     if phi.kind == "identity":
         return x
-    if phi.kind == "compression":
-        out = phi.isometry.T @ x @ phi.isometry
-    elif phi.kind == "pinching":
-        # np.where keeps the zeros off the blocks positive, as a fresh
-        # zero matrix does; a 0/1 mask product would leave -0.0 there
-        keep = np.zeros((d, d), dtype=bool)
-        for b in phi.blocks:
-            keep[np.ix_(b, b)] = True
-        out = np.where(keep, x, 0.0)
-    elif phi.kind == "normalized-trace":
-        out = np.eye(d) * (np.trace(x, axis1=-2, axis2=-1) / d)[..., None, None]
-    elif phi.kind == "convex-combination":
-        out = None
-        for w, part in phi.parts:
-            term = w * _apply_map(part, x)
-            out = term if out is None else out + term
-    elif phi.kind == "scale":
-        out = phi.factor * x
-    elif phi.kind == "sandwich":
-        out = phi.frame @ _apply_map(phi.base, x) @ phi.frame
-    else:
-        raise ValueError(f"unknown map kind {phi.kind!r}")
-    return _symmetrize(out)
+    return _symmetrize(phi.action(x))
 
 
 def apply_map(phi: MapDescriptor, a: SymMatrix) -> SymMatrix:
@@ -216,8 +172,12 @@ def apply_map(phi: MapDescriptor, a: SymMatrix) -> SymMatrix:
     return a if out is a.data else SymMatrix._wrap(out)
 
 
-def is_unital(phi: MapDescriptor, dim: int | None = None, tol: float = 1e-10) -> bool:
-    """Whether ``Phi(I) = I`` within ``tol`` (max absolute entry).
+#: Largest absolute entry of ``Phi(I) - I`` that :func:`is_unital` accepts.
+_UNITAL_TOL = 1e-10
+
+
+def is_unital(phi: MapDescriptor, dim: int | None = None) -> bool:
+    """Whether ``Phi(I) = I`` within ``1e-10`` (max absolute entry).
 
     ``dim`` chooses the probe dimension for dimension-agnostic maps
     (default 2); fixed-dimension maps ignore it in favor of their own.
@@ -227,7 +187,7 @@ def is_unital(phi: MapDescriptor, dim: int | None = None, tol: float = 1e-10) ->
         d = dim if dim is not None else 2
     image = apply_map(phi, SymMatrix.identity(d))
     target = np.eye(image.dim)
-    return bool(np.max(np.abs(image.data - target)) <= tol)
+    return bool(np.max(np.abs(image.data - target)) <= _UNITAL_TOL)
 
 
 def unitalize(phi: MapDescriptor, dim: int | None = None) -> MapDescriptor:
@@ -258,7 +218,12 @@ def unitalize(phi: MapDescriptor, dim: int | None = None) -> MapDescriptor:
     frame = (q * (1.0 / np.sqrt(w))) @ q.T
     frame = (frame + frame.T) / 2.0
     frame.setflags(write=False)
-    return MapDescriptor(kind="sandwich", frame=frame, base=phi)
+    # The correction frame was computed at a fixed dimension, so a sandwich
+    # of a dimension-agnostic map is dimension-fixed.
+    return MapDescriptor(
+        "sandwich", f"unitalized({phi.label})", d, image.dim,
+        lambda x: frame @ _apply_map(phi, x) @ frame,
+    )
 
 
 def catalog_maps(dim: int, rng=None, include_nonunital: bool = True) -> list:

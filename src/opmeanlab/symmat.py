@@ -346,20 +346,19 @@ def spectral_band_of(mats: Sequence[SymMatrix]) -> SpectralBand:
     return SpectralBand(lo, hi)
 
 
-def validate_band(
-    mats: Sequence[SymMatrix],
-    band: SpectralBand,
-    tol: float | None = None,
-) -> BandReport:
+def _band_tol(band: SpectralBand) -> float:
+    """Slack of the band checks: ``1e-9 * (1 + M)``."""
+    return 1e-9 * (1.0 + band.M)
+
+
+def validate_band(mats: Sequence[SymMatrix], band: SpectralBand) -> BandReport:
     """Check that every eigenvalue of every matrix lies in ``[m, M]``.
 
-    Membership is tested against ``[m - tol, M + tol]``; the default ``tol``
-    is ``1e-9 * (1 + M)``.  The report lists offending eigenvalues per
+    Membership is tested against ``[m - tol, M + tol]`` with
+    ``tol = 1e-9 * (1 + M)``.  The report lists offending eigenvalues per
     matrix rather than failing fast.
     """
-    if tol is None:
-        tol = 1e-9 * (1.0 + band.M)
-    return _band_report([np.linalg.eigvalsh(a.data) for a in mats], band, tol)
+    return _band_report([np.linalg.eigvalsh(a.data) for a in mats], band, _band_tol(band))
 
 
 def _band_report(eigenvalues, band: SpectralBand, tol: float) -> BandReport:
@@ -372,11 +371,11 @@ def _band_report(eigenvalues, band: SpectralBand, tol: float) -> BandReport:
 
 def _first_out_of_band(x: np.ndarray, band: SpectralBand) -> tuple:
     """Band check of a ``(T, k, d, d)`` stack of ``T`` groups of ``k``
-    matrices with one ``eigvalsh`` call, at :func:`validate_band`'s default
+    matrices with one ``eigvalsh`` call, at :func:`validate_band`'s
     tolerance.  Returns the index and report of the first group with an
     eigenvalue outside the band, or ``(T, None)`` when every matrix is
     inside."""
-    tol = 1e-9 * (1.0 + band.M)
+    tol = _band_tol(band)
     w = np.linalg.eigvalsh(x)
     outside = (w < band.m - tol) | (w > band.M + tol)
     if not outside.any():

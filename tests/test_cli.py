@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 import opmeanlab as ol
 from opmeanlab import SpectralBand, SymMatrix
-from opmeanlab.cli import main, parse_band, parse_function, parse_map, parse_mean
+from opmeanlab.cli import _config_dict, main, parse_band, parse_function, parse_map, parse_mean
 from opmeanlab.matio import write_sym_matrix
 
 
@@ -49,11 +49,18 @@ class TestParsers:
     def test_function(self):
         assert parse_function("identity") is ol.IDENTITY
         assert parse_function("expm1") is ol.EXP_MINUS_ONE
-        assert parse_function("power:0.5").power == 0.5
+        assert parse_function("power:0.5").name == "power:0.5"
+        assert parse_function("power:0.5")(4.0) == 2.0
         fn = parse_function("spower:2,0.5")
-        assert fn.coeff == 2.0 and fn.power == 0.5
+        assert fn.name == "spower:2,0.5" and fn(4.0) == 4.0
         with pytest.raises(ValueError):
             parse_function("sin")
+
+    @pytest.mark.parametrize("text", ["spower:2", "spower:1,2,3", "spower:"])
+    def test_function_spower_needs_two_values(self, text):
+        # "spower:2" used to fail on tuple unpacking instead of the grammar
+        with pytest.raises(ValueError, match=f"unknown function '{text}'; use identity"):
+            parse_function(text)
 
 
 class TestConstantsCommand:
@@ -253,6 +260,26 @@ class TestCheckCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_non_finite_frame_is_config_error(self, tmp_path, capsys):
+        # the frame, not the input matrices, is named as the bad input
+        frame = tmp_path / "V.txt"
+        frame.write_text("3 2\n1 0\n0 1\n0 nan\n")
+        code, out, err = run_cli(capsys, "check", "ando", "--phi", f"compress:{frame}")
+        assert (code, out) == (2, "")
+        assert err == "error: compression frame must be finite, got entry nan\n"
+
+    def test_malformed_spower_is_grammar_error(self, capsys):
+        code, out, err = run_cli(capsys, "check", "t22-a", "--f", "spower:2")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: unknown function 'spower:2'; use identity|expm1|power:p|spower:c,p\n"
+        )
+
+    def test_omitted_flags_keep_library_defaults(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "ando", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["config"] == _config_dict(ol.StatementConfig("ando"))
 
 
 class TestTrialsCommand:

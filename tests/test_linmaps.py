@@ -63,6 +63,21 @@ class TestConstructors:
                 [(1.5, ol.identity_map()), (-0.5, ol.identity_map())]
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_compression_rejects_non_finite_frame(self, bad):
+        # a NaN frame used to pass the orthonormality check, which compares NaN
+        v = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, bad]])
+        with pytest.raises(ValueError, match=f"compression frame must be finite, got entry {bad!r}"):
+            ol.compression(v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_convex_combination_rejects_non_finite_weight(self, bad):
+        # a NaN weight used to pass the sum check, since abs(nan - 1) > tol is False
+        with pytest.raises(ValueError, match=f"convex weights must be nonnegative and finite, got {bad!r}"):
+            ol.convex_combination([(bad, ol.identity_map())])
+        with pytest.raises(ValueError, match="convex weights"):
+            ol.convex_combination([(1.0, ol.identity_map()), (bad, ol.normalized_trace())])
+
     def test_scale(self):
         phi = ol.scale(2.5)
         a = spd(2)
@@ -114,10 +129,13 @@ class TestUnitality:
     def test_unitalize_rejects_singular_unit_image(self):
         # A hand-built sandwich whose frame kills one direction: Phi(I) is
         # singular, so no congruence can repair unitality.
+        frame = np.diag([1.0, 0.0])
         broken = ol.MapDescriptor(
             kind="sandwich",
-            base=ol.identity_map(),
-            frame=np.diag([1.0, 0.0]),
+            label="unitalized(identity)",
+            input_dim=2,
+            output_dim=2,
+            action=lambda x: frame @ x @ frame,
         )
         with pytest.raises(ol.NotPositiveDefiniteError):
             ol.unitalize(broken, dim=2)
