@@ -70,60 +70,66 @@ from .symmat import EigenConvergenceError, SpectralBand, validate_band
 __all__ = ["main"]
 
 
+def _number(kind, text: str, grammar: str):
+    """``kind(text)``; a spelling that is no such number is a grammar error."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(grammar) from None
+
+
 def parse_band(text: str) -> SpectralBand:
+    grammar = f"band must look like m:M, got {text!r}"
     parts = text.split(":")
     if len(parts) != 2:
-        raise ValueError(f"band must look like m:M, got {text!r}")
-    return SpectralBand(float(parts[0]), float(parts[1]))
+        raise ValueError(grammar)
+    return SpectralBand(*(_number(float, part, grammar) for part in parts))
 
 
 def parse_mean(text: str):
+    grammar = f"unknown mean {text!r}; use arithmetic|geometric|harmonic with optional :weight"
     name, _, weight = text.partition(":")
     if name == "arithmetic":
-        return weighted_arithmetic(float(weight)) if weight else ARITHMETIC
+        return weighted_arithmetic(_number(float, weight, grammar)) if weight else ARITHMETIC
     if name == "geometric":
-        return weighted_geometric(float(weight)) if weight else GEOMETRIC
+        return weighted_geometric(_number(float, weight, grammar)) if weight else GEOMETRIC
     if name == "harmonic":
-        return weighted_harmonic(float(weight)) if weight else HARMONIC
-    raise ValueError(
-        f"unknown mean {text!r}; use arithmetic|geometric|harmonic with optional :weight"
-    )
+        return weighted_harmonic(_number(float, weight, grammar)) if weight else HARMONIC
+    raise ValueError(grammar)
 
 
 def parse_map(text: str):
+    grammar = f"unknown map {text!r}; use identity|trace|scale:k|pinch:0,1|2|compress:file|unitalize:<map>"
     if text == "identity":
         return identity_map()
     if text == "trace":
         return normalized_trace()
     head, _, rest = text.partition(":")
     if head == "scale":
-        return scale(float(rest))
+        return scale(_number(float, rest, grammar))
     if head == "pinch":
-        blocks = [tuple(int(i) for i in blk.split(",")) for blk in rest.split("|")]
+        blocks = [tuple(_number(int, i, grammar) for i in blk.split(",")) for blk in rest.split("|")]
         return pinching(blocks)
     if head == "compress":
         return compression(read_general_matrix(rest))
     if head == "unitalize":
         return unitalize(parse_map(rest))
-    raise ValueError(
-        f"unknown map {text!r}; use identity|trace|scale:k|pinch:0,1|2|compress:file|unitalize:<map>"
-    )
+    raise ValueError(grammar)
 
 
 def parse_function(text: str):
+    grammar = f"unknown function {text!r}; use identity|expm1|power:p|spower:c,p"
     if text == "identity":
         return IDENTITY
     if text == "expm1":
         return EXP_MINUS_ONE
     head, _, rest = text.partition(":")
     if head == "power":
-        return power_function(float(rest))
+        return power_function(_number(float, rest, grammar))
     if head == "spower" and rest.count(",") == 1:
-        c, p = rest.split(",")
-        return scaled_power_function(float(c), float(p))
-    raise ValueError(
-        f"unknown function {text!r}; use identity|expm1|power:p|spower:c,p"
-    )
+        c, p = (_number(float, part, grammar) for part in rest.split(","))
+        return scaled_power_function(c, p)
+    raise ValueError(grammar)
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
@@ -227,7 +233,8 @@ def emit(report: dict, args, text_lines) -> None:
 
 
 def cmd_constants(args) -> int:
-    band = parse_band(args.band) if args.band else SpectralBand(1.0, 2.0)
+    # an omitted flag keeps the default of StatementConfig, as in build_config
+    band = parse_band(args.band) if args.band else StatementConfig.band
     report = {
         "command": "constants",
         "band": {"m": band.m, "M": band.M},
@@ -253,9 +260,9 @@ def cmd_constants(args) -> int:
         lines.append(f"nu_h               {nu_h:.12g}")
         lines.append(f"alpha              {alpha:.12g}")
     if args.f or args.g:
-        sigma = parse_mean(args.sigma) if args.sigma else GEOMETRIC
-        f = parse_function(args.f) if args.f else IDENTITY
-        g = parse_function(args.g) if args.g else IDENTITY
+        sigma = parse_mean(args.sigma) if args.sigma else StatementConfig.sigma
+        f = parse_function(args.f) if args.f else StatementConfig.f
+        g = parse_function(args.g) if args.g else StatementConfig.g
         consts = mp_gamma(f, g, sigma.h, band)
         report["mp"] = _constants_dict(consts)
         lines.append(f"gamma              {consts.gamma:.12g}  (f={f.name}, g={g.name}, sigma={sigma.name})")
@@ -276,7 +283,7 @@ def cmd_mean(args) -> int:
     if len(mats) < 2:
         raise ValueError("mean needs at least two matrix files")
     if len(mats) == 2:
-        sigma = parse_mean(args.sigma) if args.sigma else GEOMETRIC
+        sigma = parse_mean(args.sigma) if args.sigma else StatementConfig.sigma
         result = mean(sigma, mats[0], mats[1])
         label = sigma.name
     else:

@@ -1,10 +1,14 @@
 """Known violation instances for the falsifiable catalog statements.
 
 The matrices are stored to the four decimal places at which they were
-published.  At that precision their spectra drift slightly outside the
-nominal bands (reproduce them with the band check skipped); the violations
-themselves are robust and the reference gap determinants are reproduced to
-the tolerances recorded here.
+published.  They do not lie in the bands they are checked with, so they are
+reproduced with the band check skipped.  The two ``Q`` matrices have
+spectra in [0.0078, 0.26] and [0.38, 0.79], entirely below the band [1, 2]
+whose Kantorovich constant 1.125 scales the right side.  The ``q2sq`` and
+``q2`` pair is checked on [0.4, 3]: its first matrix (spectrum [0.405,
+1.525]) lies in that band, its second (spectrum [0.048, 2.76]) has smallest
+eigenvalue 0.048, below m = 0.4.  The violations and the reference gap
+determinants are reproduced to the tolerances recorded here.
 """
 
 from __future__ import annotations

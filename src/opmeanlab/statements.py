@@ -4,7 +4,17 @@ Each statement builds a left and right side from a configuration (matrices,
 band, means, maps, scalar functions, exponents) and compares them in the
 Loewner order.  The catalog mixes statements that are theorems under their
 hypotheses (expected to never fail a trial) with statements that are known
-to fail for some parameters; the trial driver reports both honestly.
+to fail for some parameters; the trial driver reports both honestly.  Each
+catalog entry carries the hypotheses its statement is screened for.
+
+Most statements are one formula with different fixed parts, and three
+families build 21 of the 23 (see :func:`_two_sided`, :func:`_multi` and
+:func:`_q2`): the two-sided map/mean comparison with f, g and powers
+(``ps-1.1`` is ``mond2`` at the geometric mean, ``t22-x`` is ``c23-x`` at
+p = 1), the multi-matrix comparison (``c-multi``, ``ragm``, ``yamazaki``)
+and the power comparison (``q2``, and ``q2sq`` at p = 2).  ``t210``
+applies f before its mean and ``add-reverse`` corrects the geometric mean
+by a residual, so each keeps a builder of its own.
 
 Trials are deterministic: trial ``i`` of a run seeded with ``s`` draws from
 ``numpy.random.default_rng([s, i])``, so any reported violation can be
@@ -150,12 +160,15 @@ class TrialReport:
 
 @dataclass(frozen=True)
 class StatementInfo:
-    """Catalog entry: identifier, short description, input shape, builder.
+    """Catalog entry: identifier, short description, input shape, builder,
+    hypotheses.
 
     ``constants(cfg, n)`` gives the constants a run with ``n`` inputs per
     trial uses (and reports); ``build(cfg, constants, x)`` maps the inputs
     ``x`` of shape ``(..., n, d, d)`` (any leading trial axes) to the
-    ``(..., e, e)`` left and right sides.
+    ``(..., e, e)`` left and right sides.  ``hypotheses`` holds ``(label,
+    holds)`` pairs: ``holds(cfg)`` probes one condition under which the
+    statement is a theorem, and ``label`` names its violation.
     """
 
     statement_id: str
@@ -165,6 +178,7 @@ class StatementInfo:
     requires_unital: bool
     constants: Callable
     build: Callable
+    hypotheses: tuple = ()
 
 
 # Stack layers.  Each mirrors one SymMatrix-valued step of a statement's
@@ -179,33 +193,33 @@ def _pair(x):
     return x[..., 0, :, :], x[..., 1, :, :]
 
 
-def _images(phi: MapDescriptor, x):
-    """Images of the pair ``A, B`` under ``phi``."""
-    return _pair(_apply_map(phi, x))
-
-
 def _favg(x):
     """Average of the ``n`` inputs of each trial."""
     n = x.shape[-3]
     return _symmetrize(sum(x[..., i, :, :] for i in range(n)) / n)
 
 
-def _scaled(c: float, x):
-    return _symmetrize(c * x)
-
-
-def _power(x, p: float):
-    return _apply_scalar(x, lambda t: t**p)
-
-
-def _fn_power(x, fn: ScalarFunction, p: float):
-    return _apply_scalar(x, lambda t: fn(t) ** p)
-
-
 def _geo_mean(x):
     """Multi-matrix geometric mean of each trial's inputs."""
     tuples = x.reshape((-1,) + x.shape[-3:])
     return _symmetrize(_alm(tuples, _ALM_TOL, _ALM_MAX_ITER).reshape(x.shape[:-3] + x.shape[-2:]))
+
+
+def _role(cfg, part):
+    """A formula part: the name of a config field (``"phi"``, ``"sigma"``,
+    ``"f"``, ``"p"``, ...) reads that field; anything else is a fixed value."""
+    return getattr(cfg, part) if isinstance(part, str) else part
+
+
+def _map(phi, x):
+    return x if phi is None else _apply_map(phi, x)
+
+
+def _calculus(x, fn, p):
+    """``fn(x)^p`` by spectral calculus; a ``None`` part is a step not taken."""
+    if p is None:
+        return x if fn is None else _apply_scalar(x, fn)
+    return _apply_scalar(x, (lambda t: t**p) if fn is None else (lambda t: fn(t) ** p))
 
 
 def _require_positive(value: float, name: str):
@@ -244,123 +258,64 @@ def _c27_scalar(cfg, n):
 
 
 # Builders: (cfg, constants, x) -> (lhs, rhs) for inputs x of shape (..., n, d, d).
+# Three families build all statements but t210 and add-reverse.
 
-def _build_ando(cfg, k, x):
-    lhs = _apply_map(cfg.phi, _mean(cfg.sigma, *_pair(x)))
-    rhs = _mean(cfg.sigma, *_images(cfg.phi, x))
-    return lhs, rhs
-
-
-def _build_ps11(cfg, k, x):
-    lhs = _mean(GEOMETRIC, *_images(cfg.phi, x))
-    rhs = _scaled(k, _apply_map(cfg.phi, _mean(GEOMETRIC, *_pair(x))))
-    return lhs, rhs
-
-
-def _two_sided_cores(cfg, x, variant):
-    """Cores for the map-vs-mean order variants: 'outside' applies the map
-    to each matrix and takes the mean of the images, 'inside' applies the
-    map to the mean."""
-    if variant[0] == "outside":
-        left = _mean(cfg.sigma, *_images(cfg.phi, x))
+def _side(cfg, x, order, phi, sigma, fn, p):
+    """One side of a two-sided statement, ``fn(core)^p``.  Its core is the
+    ``sigma`` mean of the images of ``A, B`` under ``phi`` for ``order``
+    ``"images"``, or the image of ``A sigma B`` for ``"mean"``.  Each part is
+    a config role or a fixed value (see :func:`_role`); ``None`` leaves out
+    the map or calculus step."""
+    phi, sigma, fn, p = (_role(cfg, part) for part in (phi, sigma, fn, p))
+    if order == "images":
+        core = _mean(sigma, *_pair(_map(phi, x)))
     else:
-        left = _apply_map(cfg.phi, _mean(cfg.sigma, *_pair(x)))
-    if variant[1] == "outside":
-        right = _mean(cfg.tau, *_images(cfg.psi, x))
-    else:
-        right = _apply_map(cfg.psi, _mean(cfg.tau, *_pair(x)))
-    return left, right
+        core = _map(phi, _mean(sigma, *_pair(x)))
+    return _calculus(core, fn, p)
 
 
-def _build_t22(variant):
+def _two_sided(left, right, factor=lambda k: k):
+    """``left <= factor(k) right`` for two :func:`_side` specs; with
+    ``factor`` None the right side is not scaled."""
+
     def build(cfg, k, x):
-        left_core, right_core = _two_sided_cores(cfg, x, variant)
-        lhs = _apply_scalar(left_core, cfg.f)
-        rhs = _scaled(k, _apply_scalar(right_core, cfg.g))
-        return lhs, rhs
+        lhs, rhs = _side(cfg, x, *left), _side(cfg, x, *right)
+        return lhs, rhs if factor is None else _symmetrize(factor(k) * rhs)
 
     return build
 
 
-def _build_c23(variant):
+def _multi(left, right):
+    """``fn(phi(average)) <= k fn(geometric mean of the phi images)`` with each
+    side's ``(phi, fn)`` given as for :func:`_side`."""
+
     def build(cfg, k, x):
-        left_core, right_core = _two_sided_cores(cfg, x, variant)
-        lhs = _fn_power(left_core, cfg.f, cfg.p)
-        rhs = _scaled(k, _fn_power(right_core, cfg.g, cfg.p))
-        return lhs, rhs
+        (phi, f), (psi, g) = ((_role(cfg, a), _role(cfg, b)) for a, b in (left, right))
+        lhs = _calculus(_map(phi, _favg(x)), f, None)
+        return lhs, _symmetrize(k * _calculus(_geo_mean(_map(psi, x)), g, None))
 
     return build
 
 
-def _build_c_multi(cfg, k, x):
-    lhs = _apply_scalar(_apply_map(cfg.phi, _favg(x)), cfg.f)
-    rhs = _scaled(k, _apply_scalar(_geo_mean(_apply_map(cfg.psi, x)), cfg.g))
-    return lhs, rhs
-
-
-def _build_avg_vs_geo(cfg, k, x):
-    return _favg(x), _scaled(k, _geo_mean(x))
-
-
-def _build_c27(cfg, k, x):
-    lhs = _power(_mean(GEOMETRIC, *_images(cfg.phi, x)), cfg.p)
-    rhs = _scaled(k, _power(_apply_map(cfg.psi, _mean(GEOMETRIC, *_pair(x))), cfg.q))
-    return lhs, rhs
-
-
-def _build_mond2(cfg, k, x):
-    lhs = _mean(cfg.sigma, *_images(cfg.phi, x))
-    rhs = _scaled(k, _apply_map(cfg.phi, _mean(cfg.sigma, *_pair(x))))
-    return lhs, rhs
-
-
-def _build_mp_gamma(cfg, k, x):
-    lhs = _apply_scalar(_mean(cfg.sigma, *_images(cfg.phi, x)), cfg.f)
-    rhs = _scaled(k.gamma, _apply_scalar(_apply_map(cfg.phi, _mean(cfg.sigma, *_pair(x))), cfg.g))
-    return lhs, rhs
-
-
-def _build_hoa(cfg, k, x):
-    lhs = _mean(ARITHMETIC, *_images(cfg.phi, x))
-    rhs = _scaled(k, _apply_map(cfg.phi, _mean(cfg.sigma, *_pair(x))))
-    return lhs, rhs
-
-
-def _build_t210(cfg, k, x):
-    lhs = _mean(cfg.tau, *_pair(_apply_scalar(_apply_map(cfg.phi, x), cfg.f)))
-    rhs = _scaled(k, _apply_scalar(_apply_map(cfg.phi, _mean(cfg.sigma, *_pair(x))), cfg.f))
-    return lhs, rhs
-
-
-def _q2(force_p=None):
-    def exponent(cfg):
-        return cfg.p if force_p is None else force_p
+def _q2(exponent):
+    """``(A^p + B^p)/2 <= K (A # B)^p`` with ``p`` the role or value ``exponent``."""
 
     def constants(cfg, n):
-        _require_nonnegative(exponent(cfg), "exponent p")
+        _require_nonnegative(_role(cfg, exponent), "exponent p")
         return _const.kantorovich(cfg.band)
 
     def build(cfg, k, x):
-        p = exponent(cfg)
-        lhs = _favg(_power(x, p))
-        rhs = _scaled(k, _power(_mean(GEOMETRIC, *_pair(x)), p))
-        return lhs, rhs
+        p = _role(cfg, exponent)
+        rhs = _side(cfg, x, "mean", None, GEOMETRIC, None, p)
+        return _favg(_calculus(x, None, p)), _symmetrize(k * rhs)
 
     return constants, build
 
 
-def _build_big_q(cfg, k, x):
-    a, b = _pair(x)
-    lhs = _power(_mean(ARITHMETIC, a, b), 2.0)
-    rhs = _scaled(k, _power(_mean(GEOMETRIC, a, b), 2.0))
-    return lhs, rhs
-
-
-def _build_aahh(cfg, k, x):
-    a, b = _pair(x)
-    lhs = _apply_scalar(_mean(cfg.sigma, a, b), cfg.f)
-    rhs = _apply_scalar(_mean(ARITHMETIC, a, b), cfg.f)
-    return lhs, rhs
+def _build_t210(cfg, k, x):
+    lhs = _mean(cfg.tau, *_pair(_apply_scalar(_apply_map(cfg.phi, x), cfg.f)))
+    rhs = _side(cfg, x, "mean", "phi", "sigma", "f", None)
+    return lhs, _symmetrize(k * rhs)
 
 
 def _build_add_reverse(cfg, k, x):
@@ -371,14 +326,28 @@ def _build_add_reverse(cfg, k, x):
     # mean kernel holds for any spectral function, monotone or not, so the
     # kernel evaluates it as it evaluates a mean.
     corrected = _binary_mean(lambda t: np.sqrt(t) + 0.5 * np.abs(1.0 - t), a, b)
-    rhs = _apply_scalar(corrected, cfg.f)
-    return lhs, rhs
+    return lhs, _apply_scalar(corrected, cfg.f)
+
+
+# Hypotheses: (label, cfg -> holds) pairs; the label names the violation.
+
+def _operator_monotone(role):
+    return f"{role} is not operator monotone", lambda cfg: is_operator_monotone(getattr(cfg, role))
+
+
+def _between_harmonic_arithmetic(role):
+    return (
+        f"{role} is not between the harmonic and arithmetic means",
+        lambda cfg: is_between_harmonic_arithmetic(getattr(cfg, role).h),
+    )
 
 
 _CATALOG: dict = {}
 
 
-def _register(statement_id, summary, constants, build, multi=False, maps_used=(), requires_unital=False):
+def _register(
+    statement_id, summary, constants, build, multi=False, maps_used=(), requires_unital=False, hypotheses=()
+):
     _CATALOG[statement_id] = StatementInfo(
         statement_id=statement_id,
         summary=summary,
@@ -387,6 +356,7 @@ def _register(statement_id, summary, constants, build, multi=False, maps_used=()
         requires_unital=requires_unital,
         constants=constants,
         build=build,
+        hypotheses=tuple(hypotheses),
     )
 
 
@@ -394,31 +364,28 @@ _register(
     "ando",
     "positive maps are subadditive across operator means: Phi(A s B) <= Phi(A) s Phi(B)",
     _no_constants,
-    _build_ando,
+    _two_sided(("mean", "phi", "sigma", None, None), ("images", "phi", "sigma", None, None), factor=None),
     maps_used=("phi",),
 )
 _register(
     "ps-1.1",
     "geometric-mean reverse: Phi(A) # Phi(B) <= ((M+m)/(2 sqrt(Mm))) Phi(A # B)",
     lambda cfg, n: _const.polya_szego_coeff(cfg.band),
-    _build_ps11,
+    _two_sided(("images", "phi", GEOMETRIC, None, None), ("mean", "phi", GEOMETRIC, None, None)),
     maps_used=("phi",),
 )
-for _variant, _letter in (
-    (("outside", "outside"), "a"),
-    (("outside", "inside"), "b"),
-    (("inside", "outside"), "c"),
-    (("inside", "inside"), "d"),
+_CORE_WORDS = {"images": "mean of images", "mean": "image of mean"}
+for _letter, _left, _right in (
+    ("a", "images", "images"),
+    ("b", "images", "mean"),
+    ("c", "mean", "images"),
+    ("d", "mean", "mean"),
 ):
     _register(
         f"t22-{_letter}",
-        "two-function reverse f("
-        + ("mean of images" if _variant[0] == "outside" else "image of mean")
-        + ") <= f(M) g(1/m) g("
-        + ("mean of images" if _variant[1] == "outside" else "image of mean")
-        + ")",
+        f"two-function reverse f({_CORE_WORDS[_left]}) <= f(M) g(1/m) g({_CORE_WORDS[_right]})",
         _two_function_scalar,
-        _build_t22(_variant),
+        _two_sided((_left, "phi", "sigma", "f", None), (_right, "psi", "tau", "g", None)),
         maps_used=("phi", "psi"),
         requires_unital=True,
     )
@@ -426,7 +393,7 @@ for _variant, _letter in (
         f"c23-{_letter}",
         "p-th power variant of the two-function reverse",
         _c23_scalar,
-        _build_c23(_variant),
+        _two_sided((_left, "phi", "sigma", "f", "p"), (_right, "psi", "tau", "g", "p")),
         maps_used=("phi", "psi"),
         requires_unital=True,
     )
@@ -434,30 +401,31 @@ _register(
     "c-multi",
     "multi-matrix reverse: f(Phi(avg)) <= f(M) g(1/m) g(geo-mean of Psi images)",
     _two_function_scalar,
-    _build_c_multi,
+    _multi(("phi", "f"), ("psi", "g")),
     multi=True,
     maps_used=("phi", "psi"),
     requires_unital=True,
+    hypotheses=(_operator_monotone("g"),),
 )
 _register(
     "ragm",
     "crude reverse arithmetic-geometric comparison with ratio M/m",
     lambda cfg, n: cfg.band.ratio,
-    _build_avg_vs_geo,
+    _multi((None, None), (None, None)),
     multi=True,
 )
 _register(
     "yamazaki",
     "reverse arithmetic-geometric comparison with coefficient K^((n-1)/2)",
     lambda cfg, n: _const.yamazaki_coeff(cfg.band, n),
-    _build_avg_vs_geo,
+    _multi((None, None), (None, None)),
     multi=True,
 )
 _register(
     "c27",
     "power-exponent reverse (Phi(A) # Phi(B))^p <= M^p m^(-q) (Psi(A # B))^q",
     _c27_scalar,
-    _build_c27,
+    _two_sided(("images", "phi", GEOMETRIC, None, "p"), ("mean", "psi", GEOMETRIC, None, "q")),
     maps_used=("phi", "psi"),
     requires_unital=True,
 )
@@ -465,7 +433,7 @@ _register(
     "mond2",
     "calibrated reverse Phi(A) s Phi(B) <= alpha Phi(A s B)",
     lambda cfg, n: _const.mp_alpha(cfg.sigma.h, cfg.band),
-    _build_mond2,
+    _two_sided(("images", "phi", "sigma", None, None), ("mean", "phi", "sigma", None, None)),
     maps_used=("phi",),
     requires_unital=True,
 )
@@ -473,17 +441,22 @@ _register(
     "mp-gamma",
     "two-function calibrated reverse f(Phi(A) s Phi(B)) <= gamma g(Phi(A s B))",
     lambda cfg, n: _const.mp_gamma(cfg.f, cfg.g, cfg.sigma.h, cfg.band),
-    _build_mp_gamma,
+    _two_sided(("images", "phi", "sigma", "f", None), ("mean", "phi", "sigma", "g", None), lambda k: k.gamma),
     maps_used=("phi",),
     requires_unital=True,
+    hypotheses=(
+        ("g is not increasing on the band", lambda cfg: increasing_on(cfg.g, cfg.band.m, cfg.band.M)),
+        ("g is not concave on the band", lambda cfg: midpoint_concave(cfg.g, cfg.band.m, cfg.band.M)),
+    ),
 )
 _register(
     "hoa",
     "arithmetic mean of images vs K times image of an intermediate mean",
     _kantorovich,
-    _build_hoa,
+    _two_sided(("images", "phi", ARITHMETIC, None, None), ("mean", "phi", "sigma", None, None)),
     maps_used=("phi",),
     requires_unital=True,
+    hypotheses=(_between_harmonic_arithmetic("sigma"),),
 )
 _register(
     "t210",
@@ -492,34 +465,44 @@ _register(
     _build_t210,
     maps_used=("phi",),
     requires_unital=True,
+    hypotheses=(
+        _operator_monotone("f"),
+        _between_harmonic_arithmetic("sigma"),
+        _between_harmonic_arithmetic("tau"),
+    ),
 )
 _register(
     "q2",
     "power comparison (A^p + B^p)/2 <= K (A # B)^p; a theorem only for p in [0, 1]",
-    *_q2(),
+    *_q2("p"),
 )
 _register(
     "q2sq",
     "the p = 2 instance of q2, which fails for some inputs",
-    *_q2(force_p=2.0),
+    *_q2(2.0),
 )
 _register(
     "Q",
     "squared arithmetic vs Kantorovich-scaled squared geometric mean; fails for some inputs",
     _kantorovich,
-    _build_big_q,
+    _two_sided(("mean", None, ARITHMETIC, None, 2.0), ("mean", None, GEOMETRIC, None, 2.0)),
 )
 _register(
     "aahh",
     "f of a smaller mean vs f of the arithmetic mean, for operator monotone f",
     _no_constants,
-    _build_aahh,
+    _two_sided(("mean", None, "sigma", "f", None), ("mean", None, ARITHMETIC, "f", None), factor=None),
+    hypotheses=(
+        _operator_monotone("f"),
+        ("sigma is not dominated by the arithmetic mean", lambda cfg: _harmonic_arithmetic(cfg.sigma.h)[1]),
+    ),
 )
 _register(
     "add-reverse",
     "arithmetic mean vs geometric mean plus half the conjugated residual |I - C|",
     _no_constants,
     _build_add_reverse,
+    hypotheses=(_operator_monotone("f"),),
 )
 
 
@@ -562,36 +545,7 @@ def hypothesis_violations(cfg: StatementConfig) -> tuple:
     nonempty result means trials would be testing the statement outside its
     advertised scope.  Checks are deterministic grid probes, not proofs.
     """
-    info = get_statement(cfg.statement_id)
-    sid = info.statement_id
-    labels = []
-    if sid == "mp-gamma":
-        if not increasing_on(cfg.g, cfg.band.m, cfg.band.M):
-            labels.append("g is not increasing on the band")
-        if not midpoint_concave(cfg.g, cfg.band.m, cfg.band.M):
-            labels.append("g is not concave on the band")
-    elif sid == "hoa":
-        if not is_between_harmonic_arithmetic(cfg.sigma.h):
-            labels.append("sigma is not between the harmonic and arithmetic means")
-    elif sid == "t210":
-        if not is_operator_monotone(cfg.f):
-            labels.append("f is not operator monotone")
-        if not is_between_harmonic_arithmetic(cfg.sigma.h):
-            labels.append("sigma is not between the harmonic and arithmetic means")
-        if not is_between_harmonic_arithmetic(cfg.tau.h):
-            labels.append("tau is not between the harmonic and arithmetic means")
-    elif sid == "aahh":
-        if not is_operator_monotone(cfg.f):
-            labels.append("f is not operator monotone")
-        if not _harmonic_arithmetic(cfg.sigma.h)[1]:
-            labels.append("sigma is not dominated by the arithmetic mean")
-    elif sid == "add-reverse":
-        if not is_operator_monotone(cfg.f):
-            labels.append("f is not operator monotone")
-    elif sid == "c-multi":
-        if not is_operator_monotone(cfg.g):
-            labels.append("g is not operator monotone")
-    return tuple(labels)
+    return tuple(label for label, holds in get_statement(cfg.statement_id).hypotheses if not holds(cfg))
 
 
 def _require_count(info: StatementInfo, n: int):
@@ -624,8 +578,8 @@ def check(
     """Evaluate one statement on explicit matrices, as one trial of the engine.
 
     Band membership is validated unless ``skip_band_check`` is set (the
-    published witnesses need that: at four printed decimals their spectra
-    drift outside the nominal bands).  With ``enforce_hypotheses`` the
+    bundled witnesses need that: they lie outside the bands they are
+    checked with, see :mod:`~opmeanlab.counterexamples`).  With ``enforce_hypotheses`` the
     unitality requirements are errors; the falsifier disables that and
     records violated hypotheses on the witness instead.
     """

@@ -93,6 +93,14 @@ class TestConstantsCommand:
         report = json.loads(out)
         assert set(report["mp"]) == {"mu_h", "nu_h", "alpha", "mu_g", "nu_g", "gamma"}
 
+    def test_omitted_flags_keep_library_defaults(self, capsys):
+        code, out, _ = run_cli(capsys, "constants", "--f", "power:2", "--format", "json")
+        assert code == 0
+        cfg = ol.StatementConfig("mp-gamma", f=ol.power_function(2.0))
+        report = json.loads(out)
+        assert report["band"] == {"m": cfg.band.m, "M": cfg.band.M}
+        assert report["mp"]["gamma"] == ol.mp_gamma(cfg.f, cfg.g, cfg.sigma.h, cfg.band).gamma
+
     def test_bad_band_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "constants", "--band", "2:1")
         assert code == 2
@@ -275,6 +283,20 @@ class TestCheckCommand:
         assert err == (
             "error: unknown function 'spower:2'; use identity|expm1|power:p|spower:c,p\n"
         )
+
+    @pytest.mark.parametrize(
+        "flag,text,grammar",
+        [
+            ("--band", "1:", "band must look like m:M, got '1:'"),
+            ("--f", "power:", "unknown function 'power:'; use identity|expm1|power:p|spower:c,p"),
+            ("--phi", "scale:", "unknown map 'scale:'; use identity|trace|scale:k|pinch:0,1|2|compress:file|unitalize:<map>"),
+            ("--phi", "pinch:0,,1", "unknown map 'pinch:0,,1'; use identity|trace|scale:k|pinch:0,1|2|compress:file|unitalize:<map>"),
+            ("--sigma", "geometric:x", "unknown mean 'geometric:x'; use arithmetic|geometric|harmonic with optional :weight"),
+        ],
+    )
+    def test_malformed_number_is_grammar_error(self, flag, text, grammar, capsys):
+        code, out, err = run_cli(capsys, "check", "t22-a", flag, text)
+        assert (code, out, err) == (2, "", f"error: {grammar}\n")
 
     def test_omitted_flags_keep_library_defaults(self, capsys):
         code, out, _ = run_cli(capsys, "check", "ando", "--format", "json")
