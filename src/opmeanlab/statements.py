@@ -290,7 +290,8 @@ def _multi(left, right):
     side's ``(phi, fn)`` given as for :func:`_side`."""
 
     def build(cfg, k, x):
-        (phi, f), (psi, g) = ((_role(cfg, a), _role(cfg, b)) for a, b in (left, right))
+        phi, f = (_role(cfg, part) for part in left)
+        psi, g = (_role(cfg, part) for part in right)
         lhs = _calculus(_map(phi, _favg(x)), f, None)
         return lhs, _symmetrize(k * _calculus(_geo_mean(_map(psi, x)), g, None))
 
