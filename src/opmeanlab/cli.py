@@ -145,7 +145,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--q", type=float, default=None, help="exponent q")
     p.add_argument("--n-matrices", type=int, default=None, help="inputs for multi-matrix statements")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--skip-band-check", action="store_true", help="skip band validation of explicit matrices")
     p.add_argument("--expect-violation", action="store_true", help="treat a found violation as the expected outcome")
     _add_report_flags(p)
 
@@ -475,9 +474,10 @@ def cmd_reproduce(args) -> int:
             f"(tol {known.det_tolerance:g}) -> {status}"
         )
         if not band_report.passed:
+            spectra = " and ".join(f"[{c.eigenvalues[0]:.3g}, {c.eigenvalues[-1]:.3g}]" for c in band_report.checks)
             lines.append(
-                f"  note: published matrices drift outside band [{known.band.m:g}, {known.band.M:g}] "
-                "at printed precision; band check skipped"
+                f"  note: published matrices lie outside band [{known.band.m:g}, {known.band.M:g}] "
+                f"(spectra {spectra}); band check skipped"
             )
     ycoeff = yamazaki_coeff(YAMAZAKI_SHARPNESS_BAND, YAMAZAKI_SHARPNESS_N)
     crude = YAMAZAKI_SHARPNESS_BAND.ratio
@@ -534,6 +534,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="evaluate one statement once")
     p.add_argument("statement", help="statement id, e.g. ando; see README for the catalog")
     p.add_argument("--matrices", nargs="+", default=None, help="matrix files; omitted means a seeded draw")
+    p.add_argument("--skip-band-check", action="store_true", help="skip band validation of explicit matrices")
     _add_config_flags(p)
     p.set_defaults(func=cmd_check)
 
@@ -547,6 +548,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("statement", help="statement id")
     p.add_argument("--budget", type=int, default=1000, help="number of random draws")
     p.add_argument("--matrices", nargs="+", default=None, help="matrix files to try first")
+    p.add_argument("--skip-band-check", action="store_true", help="skip band validation of explicit matrices")
     p.add_argument(
         "--seed-known",
         action="store_true",

@@ -13,9 +13,13 @@ The walk evaluates its steps in speculative windows: the candidates of the
 next few steps are all formed from the current incumbent and evaluated as
 one stack by the same builders, and the first strictly better one is
 accepted; the rest of the window is discarded and the walk resumes at the
-step after it.  Every step's bump is drawn once, in step order, so each
-candidate, verdict and error is bitwise the one the step-by-step walk
-(one :func:`~opmeanlab.statements.check` per step) gives.
+step after it.  A window stops before its first out-of-band candidate,
+which then opens the next window and raises there.  A stack that raises
+does not say which step raised, so the window's first step is taken again
+alone, through the same code, and the walk goes on from the step after it.
+Every step's bump is drawn once, in step order, so each candidate, verdict
+and error is bitwise the one the step-by-step walk (one
+:func:`~opmeanlab.statements.check` per step) gives.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .statements import (
     BandViolationError,
     StatementConfig,
     _as_matrices,
-    _require_count,
+    _input_stack,
     check,
     get_statement,
     hypothesis_violations,
@@ -56,12 +60,11 @@ class Witness:
     hypothesis_violations: tuple
 
 
-def revalidate(witness: Witness, tol: float | None = None):
+def revalidate(witness: Witness):
     """Re-run the statement check on a witness and return the verdict."""
     return check(
         witness.config,
         witness.matrices,
-        tol=tol,
         skip_band_check=not witness.band_checked,
         enforce_hypotheses=False,
     )
@@ -129,53 +132,29 @@ def _clamp_to_band(x: np.ndarray, band) -> np.ndarray:
     return _apply_scalar(_symmetrize(x), lambda w: np.clip(w, band.m, band.M))
 
 
-def _steps_alone(best: Witness, bumps: np.ndarray, radius: float) -> Witness:
-    """The walk over ``bumps`` (one row per step, each matrix's bump
-    flattened in turn), one :func:`check` per step."""
-    cfg = best.config
-    ends = np.cumsum([m.data.size for m in best.matrices], dtype=int)
-    for row in bumps:
-        candidate = [
-            SymMatrix._wrap(_clamp_to_band(m.data + radius * bump.reshape(m.data.shape), cfg.band))
-            for m, bump in zip(best.matrices, np.split(row, ends[:-1]))
-        ]
-        verdict = check(cfg, candidate, skip_band_check=False, enforce_hypotheses=False)
-        if not verdict.holds and verdict.gap_min_eig < best.gap_min_eig:
-            gap, det = verdict.gap_min_eig, verdict.gap_det
-            best = replace(best, matrices=tuple(candidate), gap_min_eig=gap, gap_det=det, band_checked=True)
-    return best
+def _window(best: Witness, bumps: np.ndarray, radius: float, info, consts) -> tuple:
+    """Steps ``bumps`` of the walk from ``best``, evaluated as one stack by
+    the statement ``info`` with its constants ``consts``.
 
-
-def _window(best: Witness, bumps: np.ndarray, radius: float, engine) -> tuple:
-    """Steps ``bumps`` of the walk from ``best``, evaluated as one stack.
-
-    Returns the number of steps taken (through the first acceptance, or all
-    of them) and the incumbent after them.  ``engine`` is the statement's
-    ``(info, constants)``, or None to take every step alone.
+    Returns the number of steps taken (through the first acceptance, up to
+    the first out-of-band candidate, or all of them) and the incumbent after
+    them; a first candidate out of band raises.  When the stack raises,
+    :func:`refine` takes the first step again as a window of one.
     """
-    if engine is None:
-        return len(bumps), _steps_alone(best, bumps, radius)
     cfg = best.config
-    info, consts = engine
-    try:
-        x = np.array([m.data for m in best.matrices])
-        c = _clamp_to_band(x + radius * bumps.reshape((len(bumps),) + x.shape), cfg.band)
-        inside, report = _first_out_of_band(c, cfg.band)
-        better = np.empty(0, dtype=np.intp)
-        if inside:
-            v = _loewner(*info.build(cfg, consts, c[:inside]))
-            better = np.flatnonzero(~v.holds & (v.gap_min_eig < best.gap_min_eig))
-    except Exception:
-        # the step that raises, and its error, are those of the walk alone
-        return len(bumps), _steps_alone(best, bumps, radius)
-    if better.size:
-        j = int(better[0])
-        accepted = _as_matrices(c[j].copy())
-        gap, det = float(v.gap_min_eig[j]), float(v.gap_det[j])
-        return j + 1, replace(best, matrices=accepted, gap_min_eig=gap, gap_det=det, band_checked=True)
-    if report is not None:
+    x = np.array([m.data for m in best.matrices])
+    c = _clamp_to_band(x + radius * bumps.reshape((len(bumps),) + x.shape), cfg.band)
+    inside, report = _first_out_of_band(c, cfg.band)
+    if not inside:
         raise BandViolationError(report.offending_summary())
-    return len(bumps), best
+    v = _loewner(*info.build(cfg, consts, c[:inside]))
+    better = np.flatnonzero(~v.holds & (v.gap_min_eig < best.gap_min_eig))
+    if not better.size:
+        return inside, best
+    j = int(better[0])
+    accepted = _as_matrices(c[j].copy())
+    gap, det = float(v.gap_min_eig[j]), float(v.gap_det[j])
+    return j + 1, replace(best, matrices=accepted, gap_min_eig=gap, gap_det=det, band_checked=True)
 
 
 def refine(witness: Witness, steps: int, radius: float, seed: int) -> Witness:
@@ -187,8 +166,10 @@ def refine(witness: Witness, steps: int, radius: float, seed: int) -> Witness:
     eigenvalue is strictly more negative.  With ``radius == 0`` or
     ``steps == 0`` the witness is returned unchanged.  Accepted candidates
     are in band by construction, so refinement can only strengthen a
-    violation, never manufacture an out-of-band one.  Steps are evaluated
-    in speculative windows (see the module docstring).
+    violation, never manufacture an out-of-band one.  The witness's count
+    and dimensions and the statement's constants are checked once, before
+    the first step.  Steps are evaluated in speculative windows (see the
+    module docstring).
     """
     if not math.isfinite(radius):
         raise ValueError(f"radius must be finite, got {radius!r}")
@@ -199,24 +180,24 @@ def refine(witness: Witness, steps: int, radius: float, seed: int) -> Witness:
     if radius == 0.0 or steps == 0:
         return witness
     cfg = witness.config
-    n = len(witness.matrices)
-    try:
-        info = get_statement(cfg.statement_id)
-        _require_count(info, n)
-        engine = info, info.constants(cfg, n)
-    except Exception:
-        # every step raises this; the walk alone raises it at the first
-        engine = None
+    info = get_statement(cfg.statement_id)
+    x = _input_stack(info, witness.matrices)
+    consts = info.constants(cfg, len(x))
     rng = np.random.default_rng(seed)
-    entries = sum(m.data.size for m in witness.matrices)
-    pending = np.empty((0, entries))
+    pending = np.empty((0, x.size))
     best = witness
     done, width = 0, _FIRST_WINDOW
     while done < steps:
         size = min(width, steps - done)
         if len(pending) < size:
-            pending = np.concatenate((pending, rng.standard_normal((size - len(pending), entries))))
-        taken, after = _window(best, pending[:size], radius, engine)
+            pending = np.concatenate((pending, rng.standard_normal((size - len(pending), x.size))))
+        try:
+            taken, after = _window(best, pending[:size], radius, info, consts)
+        except Exception:
+            if size == 1:
+                raise
+            # the stack does not say which step raised; the first step alone does
+            taken, after = _window(best, pending[:1], radius, info, consts)
         width = _FIRST_WINDOW if after is not best else min(2 * width, _BLOCK)
         best, pending, done = after, pending[taken:], done + taken
     return best

@@ -557,6 +557,17 @@ def _require_count(info: StatementInfo, n: int):
         raise ValueError(f"statement {info.statement_id!r} takes exactly two matrices")
 
 
+def _input_stack(info: StatementInfo, mats: Sequence[SymMatrix]) -> np.ndarray:
+    """The ``(n, d, d)`` stack of one trial's inputs ``mats``, after checking
+    their count for the statement ``info`` and that they share a dimension."""
+    _require_count(info, len(mats))
+    dim = mats[0].dim
+    for m in mats[1:]:
+        if m.dim != dim:
+            raise ValueError("all input matrices must share one dimension")
+    return np.array([m.data for m in mats])
+
+
 def _as_matrices(x: np.ndarray) -> tuple:
     """The ``(n, d, d)`` stack ``x`` of symmetrized inputs as :class:`SymMatrix`
     values that share its memory; pass a copy where ``x`` is a view."""
@@ -572,7 +583,6 @@ def _require_in_band(x: np.ndarray, band: SpectralBand):
 def check(
     cfg: StatementConfig,
     matrices: Sequence[SymMatrix],
-    tol: float | None = None,
     skip_band_check: bool = False,
     enforce_hypotheses: bool = True,
 ) -> Verdict:
@@ -585,22 +595,16 @@ def check(
     records violated hypotheses on the witness instead.
     """
     info = get_statement(cfg.statement_id)
-    mats = [m if isinstance(m, SymMatrix) else SymMatrix(m) for m in matrices]
-    _require_count(info, len(mats))
-    dim = mats[0].dim
-    for m in mats[1:]:
-        if m.dim != dim:
-            raise ValueError("all input matrices must share one dimension")
-    x = np.array([m.data for m in mats])
+    x = _input_stack(info, [m if isinstance(m, SymMatrix) else SymMatrix(m) for m in matrices])
     if not skip_band_check:
         _require_in_band(x[None], cfg.band)
     if enforce_hypotheses:
         bad = unitality_violations(cfg)
         if bad:
             raise UnitalityError("; ".join(bad))
-    consts = info.constants(cfg, len(mats))
+    consts = info.constants(cfg, len(x))
     lhs, rhs = info.build(cfg, consts, x)
-    verdict = _loewner(lhs, rhs, tol)
+    verdict = _loewner(lhs, rhs)
     return Verdict(
         statement_id=info.statement_id,
         holds=bool(verdict.holds),
@@ -678,8 +682,8 @@ def run_trials(cfg: StatementConfig, trials: int, seed: int) -> TrialReport:
             witnesses=(),
             hypothesis_violations=hyp,
         )
-    if info.multi and cfg.n_matrices < 2:
-        raise ValueError("n_matrices must be at least 2")
+    # here as well, since trial_blocks checks nothing for zero trials
+    _require_count(info, cfg.n_matrices if info.multi else 2)
     violations = []
     worst = np.inf
     for first, x, verdict in trial_blocks(cfg, seed, 0, trials):

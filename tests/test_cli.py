@@ -298,6 +298,22 @@ class TestCheckCommand:
         code, out, err = run_cli(capsys, "check", "t22-a", flag, text)
         assert (code, out, err) == (2, "", f"error: {grammar}\n")
 
+    @pytest.mark.parametrize("maps", [(), ("--phi", "trace", "--psi", "trace")], ids=["identity", "trace"])
+    def test_overflowed_constant_is_config_error(self, maps, capsys):
+        # k = 2^1000 2^1000 overflows to inf; the scaled right side is refused
+        # as non-finite instead of being compared.  inf times a zero entry of
+        # a trace image is nan, which numpy warns about.
+        with np.errstate(invalid="ignore"):
+            code, out, err = run_cli(
+                capsys, "check", "c27", "--band", "0.5:2", "--p", "1000", "--q", "1000", "--seed", "1", *maps
+            )
+        assert (code, out, err) == (2, "", "error: matrix entries must be finite\n")
+
+    @pytest.mark.parametrize("argv", [("check",), ("trials",), ("trials", "--trials", "0")])
+    def test_too_few_matrices_for_a_multi_statement(self, argv, capsys):
+        code, out, err = run_cli(capsys, *argv, "c-multi", "--n-matrices", "1")
+        assert (code, out, err) == (2, "", "error: statement 'c-multi' needs at least two matrices\n")
+
     def test_omitted_flags_keep_library_defaults(self, capsys):
         code, out, _ = run_cli(capsys, "check", "ando", "--format", "json")
         assert code == 0
@@ -342,6 +358,11 @@ class TestTrialsCommand:
         assert report["trials"] == 60
         assert "elapsed" not in out1
 
+    def test_band_check_flag_is_not_accepted(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trials", "q2", "--skip-band-check"])
+        assert exc.value.code == 2
+
 
 class TestFalsifyCommand:
     def test_known_witness_seeding(self, tmp_path, capsys):
@@ -358,6 +379,21 @@ class TestFalsifyCommand:
         assert report["witness"]["trial_index"] == -1
         assert_allclose(report["witness"]["gap_det"], -0.4110846919000982, rtol=1e-10)
         assert report_path.read_text() == out
+
+    def test_matrix_files(self, tmp_path, capsys):
+        kw = ol.KNOWN_WITNESSES["q2sq"]
+        paths = [str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]
+        for path, m in zip(paths, kw.matrices):
+            write_sym_matrix(path, m)
+        argv = ("falsify", "q2sq", "--band", "0.4:3", "--matrices", *paths, "--budget", "1", "--expect-violation")
+        code, out, _ = run_cli(capsys, *argv, "--skip-band-check", "--format", "json")
+        assert code == 0
+        witness = json.loads(out)["witness"]
+        assert witness["trial_index"] == -1 and witness["band_checked"] is False
+        assert_allclose(witness["gap_det"], -0.4110846919000982, rtol=1e-10)
+        # the second published matrix reaches below m = 0.4
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: matrix 1: eigenvalues [0.0475539] outside band\n")
 
     def test_no_bundled_witness(self, capsys):
         code, _, err = run_cli(capsys, "falsify", "ando", "--seed-known", "--budget", "1")
@@ -389,6 +425,16 @@ class TestReproduceCommand:
         assert code == 0
         assert "all reproductions ok" in out
         assert "1.265625" in out
+
+    def test_text_gives_the_published_spectra(self, capsys):
+        _, out, _ = run_cli(capsys, "reproduce")
+        notes = [line for line in out.splitlines() if "note:" in line]
+        assert notes == [
+            "  note: published matrices lie outside band [1, 2] (spectra [0.00782, 0.261] and [0.38, 0.79]); "
+            "band check skipped",
+            "  note: published matrices lie outside band [0.4, 3] (spectra [0.405, 1.52] and [0.0476, 2.76]); "
+            "band check skipped",
+        ]
 
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "reproduce", "--format", "json")

@@ -222,6 +222,12 @@ class TestRunTrials:
         with pytest.raises(UnitalityError):
             ol.run_trials(cfg, trials=5, seed=0)
 
+    def test_overflowed_constant_raises(self):
+        # c27's k = M^p m^(-q) = 2^2000 is inf; the scaled right side is refused
+        cfg = StatementConfig(statement_id="c27", band=SpectralBand(0.5, 2.0), p=1000.0, q=1000.0)
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            ol.run_trials(cfg, trials=5, seed=1)
+
     def test_zero_trials(self):
         rep = ol.run_trials(StatementConfig(statement_id="ando"), trials=0, seed=0)
         assert rep.trials == 0 and rep.worst_margin is None
