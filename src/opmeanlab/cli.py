@@ -208,19 +208,19 @@ def _constants_dict(value) -> object:
     return value
 
 
-def _versions() -> dict:
-    return {
-        "opmeanlab": __version__,
-        "numpy": np.__version__,
-        "python": platform.python_version(),
-    }
-
-
 def render_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def emit(report: dict, args, text_lines) -> None:
+    """Stamp ``report`` with the command and versions, then write it: as
+    ``--format`` asks on stdout, and as JSON to the ``--report`` path."""
+    report["command"] = args.command
+    report["versions"] = {
+        "opmeanlab": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
     if args.format == "json":
         sys.stdout.write(render_json(report))
     else:
@@ -231,15 +231,22 @@ def emit(report: dict, args, text_lines) -> None:
             fh.write(render_json(report))
 
 
+def _verdict(report: dict, args, cfg: StatementConfig, lines, violated: bool) -> int:
+    """Add the config and ``expect_violation`` to ``report``, emit it, and
+    return 0 if ``violated`` matches ``--expect-violation``, else 1."""
+    report["config"] = _config_dict(cfg)
+    report["expect_violation"] = bool(args.expect_violation)
+    emit(report, args, lines)
+    return 0 if violated == report["expect_violation"] else 1
+
+
 def cmd_constants(args) -> int:
     # an omitted flag keeps the default of StatementConfig, as in build_config
     band = parse_band(args.band) if args.band else StatementConfig.band
     report = {
-        "command": "constants",
         "band": {"m": band.m, "M": band.M},
         "kantorovich": kantorovich(band),
         "polya_szego": polya_szego_coeff(band),
-        "versions": _versions(),
     }
     lines = [
         f"band [{band.m:g}, {band.M:g}]",
@@ -292,11 +299,9 @@ def cmd_mean(args) -> int:
         result = alm_mean(mats, **{k: v for k, v in given.items() if v is not None})
         label = f"geometric ({len(mats)} matrices)"
     report = {
-        "command": "mean",
         "mean": label,
         "inputs": list(args.matrices),
         "result": result.data.tolist(),
-        "versions": _versions(),
     }
     emit(report, args, [f"# {label}", format_sym_matrix(result).rstrip("\n")])
     return 0
@@ -311,16 +316,12 @@ def cmd_check(args) -> int:
         mats = list(seeded_inputs(cfg, args.seed, 0, 1)[0])
     verdict = check(cfg, mats, skip_band_check=args.skip_band_check)
     report = {
-        "command": "check",
-        "config": _config_dict(cfg),
         "matrices_from": list(args.matrices) if args.matrices else f"seeded draw (seed {args.seed})",
         "holds": verdict.holds,
         "gap_min_eig": verdict.gap_min_eig,
         "gap_det": verdict.gap_det,
         "tol": verdict.tol,
         "constants_used": _constants_dict(verdict.constants_used),
-        "expect_violation": bool(args.expect_violation),
-        "versions": _versions(),
     }
     word = "holds" if verdict.holds else "VIOLATED"
     lines = [
@@ -329,9 +330,7 @@ def cmd_check(args) -> int:
         f"  gap_det      {verdict.gap_det:.6e}",
         f"  tol          {verdict.tol:.3e}",
     ]
-    emit(report, args, lines)
-    violated = not verdict.holds
-    return 0 if violated == bool(args.expect_violation) else 1
+    return _verdict(report, args, cfg, lines, not verdict.holds)
 
 
 def cmd_trials(args) -> int:
@@ -340,8 +339,6 @@ def cmd_trials(args) -> int:
     rep = run_trials(cfg, args.trials, args.seed)
     elapsed = time.perf_counter() - t0
     report = {
-        "command": "trials",
-        "config": _config_dict(cfg),
         "trials": rep.trials,
         "counted": rep.counted,
         "rejected": rep.rejected,
@@ -357,8 +354,6 @@ def cmd_trials(args) -> int:
             }
             for w in rep.witnesses[:10]
         ],
-        "expect_violation": bool(args.expect_violation),
-        "versions": _versions(),
     }
     lines = [
         f"{cfg.statement_id}: {rep.violations} violations in {rep.counted} counted trials "
@@ -374,11 +369,8 @@ def cmd_trials(args) -> int:
             f"  violation at trial {w.trial_index}: gap_min_eig {w.gap_min_eig:.6e}, gap_det {w.gap_det:.6e}"
         )
     lines.append(f"  elapsed {elapsed:.3f}s")
-    emit(report, args, lines)
-    if rep.trials > 0 and rep.counted == 0:
-        return 1
-    violated = rep.violations > 0
-    return 0 if violated == bool(args.expect_violation) else 1
+    code = _verdict(report, args, cfg, lines, rep.violations > 0)
+    return 1 if rep.trials > 0 and rep.counted == 0 else code
 
 
 def cmd_falsify(args) -> int:
@@ -410,13 +402,9 @@ def cmd_falsify(args) -> int:
     )
     elapsed = time.perf_counter() - t0
     report = {
-        "command": "falsify",
-        "config": _config_dict(cfg),
         "budget": args.budget,
         "seed": args.seed,
         "found": witness is not None,
-        "expect_violation": bool(args.expect_violation),
-        "versions": _versions(),
     }
     lines = []
     if witness is None:
@@ -439,9 +427,7 @@ def cmd_falsify(args) -> int:
         for label in witness.hypothesis_violations:
             lines.append(f"  hypothesis   {label}")
     lines.append(f"  elapsed {elapsed:.3f}s")
-    emit(report, args, lines)
-    violated = witness is not None
-    return 0 if violated == bool(args.expect_violation) else 1
+    return _verdict(report, args, cfg, lines, witness is not None)
 
 
 def cmd_reproduce(args) -> int:
@@ -489,7 +475,6 @@ def cmd_reproduce(args) -> int:
         f"{ycoeff:.6f} <= {crude:g} -> {'ok' if y_ok else 'MISMATCH'}"
     )
     report = {
-        "command": "reproduce",
         "cases": cases,
         "yamazaki": {
             "band": {"m": YAMAZAKI_SHARPNESS_BAND.m, "M": YAMAZAKI_SHARPNESS_BAND.M},
@@ -499,7 +484,6 @@ def cmd_reproduce(args) -> int:
             "ok": y_ok,
         },
         "ok": all_ok,
-        "versions": _versions(),
     }
     lines.append("all reproductions ok" if all_ok else "REPRODUCTION MISMATCH")
     emit(report, args, lines)

@@ -36,7 +36,8 @@ def write_sym_matrix(path, m: SymMatrix) -> None:
         fh.write(format_sym_matrix(m))
 
 
-def _parse_tokens(path):
+def read_general_matrix(path) -> np.ndarray:
+    """Read a possibly rectangular matrix (used for compression frames)."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
@@ -62,11 +63,6 @@ def _parse_tokens(path):
     return data
 
 
-def read_general_matrix(path) -> np.ndarray:
-    """Read a possibly rectangular matrix (used for compression frames)."""
-    return _parse_tokens(path)
-
-
 def read_sym_matrix(path) -> SymMatrix:
     """Read a square matrix and symmetrize it.
 
@@ -74,7 +70,7 @@ def read_sym_matrix(path) -> SymMatrix:
     transpose) is suspicious for data meant to be symmetric, so it warns
     but still averages.
     """
-    data = _parse_tokens(path)
+    data = read_general_matrix(path)
     if data.shape[0] != data.shape[1]:
         raise ValueError(f"{path}: expected a square matrix, got shape {data.shape}")
     asym = float(np.max(np.abs(data - data.T))) if data.size else 0.0

@@ -188,6 +188,12 @@ def _mean(sigma: MeanDescriptor, a, b):
     return _symmetrize(_binary_mean(sigma.h, a, b))
 
 
+def _scaled(k, x):
+    """``k x``, symmetrized; an entry that overflows raises one error, not a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _symmetrize(k * x)
+
+
 def _pair(x):
     """The two inputs ``A, B`` of each trial."""
     return x[..., 0, :, :], x[..., 1, :, :]
@@ -280,7 +286,7 @@ def _two_sided(left, right, factor=lambda k: k):
 
     def build(cfg, k, x):
         lhs, rhs = _side(cfg, x, *left), _side(cfg, x, *right)
-        return lhs, rhs if factor is None else _symmetrize(factor(k) * rhs)
+        return lhs, rhs if factor is None else _scaled(factor(k), rhs)
 
     return build
 
@@ -293,7 +299,7 @@ def _multi(left, right):
         phi, f = (_role(cfg, part) for part in left)
         psi, g = (_role(cfg, part) for part in right)
         lhs = _calculus(_map(phi, _favg(x)), f, None)
-        return lhs, _symmetrize(k * _calculus(_geo_mean(_map(psi, x)), g, None))
+        return lhs, _scaled(k, _calculus(_geo_mean(_map(psi, x)), g, None))
 
     return build
 
@@ -308,7 +314,7 @@ def _q2(exponent):
     def build(cfg, k, x):
         p = _role(cfg, exponent)
         rhs = _side(cfg, x, "mean", None, GEOMETRIC, None, p)
-        return _favg(_calculus(x, None, p)), _symmetrize(k * rhs)
+        return _favg(_calculus(x, None, p)), _scaled(k, rhs)
 
     return constants, build
 
@@ -316,7 +322,7 @@ def _q2(exponent):
 def _build_t210(cfg, k, x):
     lhs = _mean(cfg.tau, *_pair(_apply_scalar(_apply_map(cfg.phi, x), cfg.f)))
     rhs = _side(cfg, x, "mean", "phi", "sigma", "f", None)
-    return lhs, _symmetrize(k * rhs)
+    return lhs, _scaled(k, rhs)
 
 
 def _build_add_reverse(cfg, k, x):
@@ -636,13 +642,14 @@ def trial_blocks(cfg: StatementConfig, seed: int, start: int, stop: int):
     is ``x[t]``) and ``verdict`` an :class:`~opmeanlab.symmat.OrderVerdict`
     of arrays over the block.  Draws stay per-trial streams; every trial is
     band-checked and gets the bits :func:`check` gives it alone.  Hypotheses
-    are not enforced here; the statement's constants are computed once.
+    are not enforced here; the input count is checked even for an empty
+    range, and the statement's constants are computed once.
     """
-    if stop <= start:
-        return
     info = get_statement(cfg.statement_id)
     n = cfg.n_matrices if info.multi else 2
     _require_count(info, n)
+    if stop <= start:
+        return
     consts = info.constants(cfg, n)
     for first in range(start, stop, _BLOCK):
         x = seeded_inputs(cfg, seed, first, min(first + _BLOCK, stop))
@@ -665,28 +672,13 @@ def run_trials(cfg: StatementConfig, trials: int, seed: int) -> TrialReport:
         raise ValueError("trial count must be nonnegative")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    info = get_statement(cfg.statement_id)
     bad_unital = unitality_violations(cfg)
     if bad_unital:
         raise UnitalityError("; ".join(bad_unital))
     hyp = hypothesis_violations(cfg)
-    if hyp:
-        return TrialReport(
-            statement_id=info.statement_id,
-            trials=trials,
-            counted=0,
-            rejected=trials,
-            violations=0,
-            worst_margin=None,
-            seed=seed,
-            witnesses=(),
-            hypothesis_violations=hyp,
-        )
-    # here as well, since trial_blocks checks nothing for zero trials
-    _require_count(info, cfg.n_matrices if info.multi else 2)
     violations = []
     worst = np.inf
-    for first, x, verdict in trial_blocks(cfg, seed, 0, trials):
+    for first, x, verdict in () if hyp else trial_blocks(cfg, seed, 0, trials):
         worst = min(worst, verdict.gap_min_eig.min())
         violating = np.flatnonzero(~verdict.holds)
         for t, mats in zip(violating, x[violating]):
@@ -698,14 +690,15 @@ def run_trials(cfg: StatementConfig, trials: int, seed: int) -> TrialReport:
                     gap_det=float(verdict.gap_det[t]),
                 )
             )
+    counted = 0 if hyp else trials
     return TrialReport(
-        statement_id=info.statement_id,
+        statement_id=cfg.statement_id,
         trials=trials,
-        counted=trials,
-        rejected=0,
+        counted=counted,
+        rejected=trials - counted,
         violations=len(violations),
-        worst_margin=float(worst) if trials > 0 else None,
+        worst_margin=float(worst) if counted > 0 else None,
         seed=seed,
         witnesses=tuple(violations),
-        hypothesis_violations=(),
+        hypothesis_violations=hyp,
     )

@@ -84,7 +84,8 @@ class SymMatrix:
             raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise DimensionMismatchError("dimension must be at least 1")
-        data = _symmetrize(a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = _symmetrize(a)
         data.setflags(write=False)
         self.data = data
 
@@ -192,14 +193,16 @@ class BandReport:
 
 
 def _symmetrize(x: np.ndarray) -> np.ndarray:
-    """``(X + X^T) / 2`` over a stack ``(..., d, d)`` of finite matrices.
+    """``(X + X^T) / 2`` over a stack ``(..., d, d)``, checked to be finite.
 
     This is how :class:`SymMatrix` stores its entries; on a matrix that is
-    already symmetric it changes no bit.
+    already symmetric it changes no bit.  The check is on the output, so a
+    sum that overflows raises like a non-finite input does.
     """
-    if not np.isfinite(x).all():
+    s = (x + x.mT) / 2.0
+    if not np.isfinite(s).all():
         raise ValueError("matrix entries must be finite")
-    return (x + x.mT) / 2.0
+    return s
 
 
 def _eigh(x: np.ndarray):
@@ -314,8 +317,6 @@ def loewner_leq(a: SymMatrix, b: SymMatrix, tol: float | None = None) -> OrderVe
     given it defaults to ``1e-9 * (1 + max(op_norm(a), op_norm(b)))``, an
     absolute-plus-relative guard against eigensolver roundoff.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
     v = _loewner(a.data, b.data, tol)
     return OrderVerdict(
         holds=bool(v.holds),

@@ -309,10 +309,19 @@ class TestCheckCommand:
             )
         assert (code, out, err) == (2, "", "error: matrix entries must be finite\n")
 
-    @pytest.mark.parametrize("argv", [("check",), ("trials",), ("trials", "--trials", "0")])
+    @pytest.mark.parametrize(
+        "argv", [("check",), ("trials",), ("trials", "--trials", "0"), ("falsify", "--budget", "0")]
+    )
     def test_too_few_matrices_for_a_multi_statement(self, argv, capsys):
         code, out, err = run_cli(capsys, *argv, "c-multi", "--n-matrices", "1")
         assert (code, out, err) == (2, "", "error: statement 'c-multi' needs at least two matrices\n")
+
+    def test_sides_of_different_dimensions(self, tmp_path, capsys):
+        # phi compresses to 2x2 images and psi keeps 4x4 ones; the order check names both
+        frame = tmp_path / "V42.txt"
+        frame.write_text("4 2\n1 0\n0 1\n0 0\n0 0\n")
+        code, out, err = run_cli(capsys, "check", "t22-a", "--dim", "4", "--phi", f"compress:{frame}")
+        assert (code, out, err) == (2, "", "error: dimension mismatch: 2 vs 4\n")
 
     def test_omitted_flags_keep_library_defaults(self, capsys):
         code, out, _ = run_cli(capsys, "check", "ando", "--format", "json")
@@ -409,6 +418,11 @@ class TestFalsifyCommand:
         )
         assert code == 1
 
+    def test_text_names_the_broken_hypothesis(self, capsys):
+        code, out, _ = run_cli(capsys, "falsify", "aahh", "--f", "power:2", "--budget", "300", "--seed", "1")
+        assert code == 1
+        assert "  hypothesis   f is not operator monotone" in out.splitlines()
+
     def test_json_is_deterministic(self, capsys):
         args = (
             "falsify", "q2sq", "--band", "0.4:3", "--budget", "80",
@@ -453,3 +467,26 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kantorovich"] == 1.125
+
+
+def _overflow_argv(command, tmp_path):
+    if command == "check":
+        # k = 2^1000 2^1000 is inf, and inf times a zero entry of a trace image is nan
+        return ["check", "c27", "--band", "0.5:2", "--p", "1000", "--q", "1000", "--seed", "1",
+                "--phi", "trace", "--psi", "trace"]
+    # 1.5e308 + 1.5e308 overflows when the matrix is symmetrized
+    big, one = tmp_path / "big.txt", tmp_path / "one.txt"
+    big.write_text("2\n1.5e308 0\n0 1.5e308\n")
+    one.write_text("2\n1 0\n0 1\n")
+    return ["mean", str(big), str(one)]
+
+
+@pytest.mark.parametrize("warnings", [[], ["-W", "error::RuntimeWarning"]], ids=["default", "warnings-as-errors"])
+@pytest.mark.parametrize("command", ["check", "mean"])
+def test_overflow_is_one_error_line(command, warnings, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, *warnings, "-m", "opmeanlab.cli", *_overflow_argv(command, tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: matrix entries must be finite\n")

@@ -76,6 +76,12 @@ class TestChordRatioMax:
         with pytest.raises(NonpositiveChordError):
             ol.chord_ratio_max(lambda t: t - 1.0, 0.5, 2.0)
 
+    def test_ratio_must_be_finite(self):
+        # finite at the endpoints, so the chord is fine; NaN inside
+        phi = lambda t: np.where((t > 1.2) & (t < 1.8), np.nan, t)
+        with pytest.raises(ValueError, match="^ratio is not finite on the interval$"):
+            ol.chord_ratio_max(phi, 1.0, 2.0)
+
 
 class TestMpAlpha:
     def test_geometric_matches_polya_szego(self):
@@ -139,6 +145,10 @@ class TestMpGamma:
         mu, nu = ol.secant_coeffs(ol.HARMONIC.h, 0.25, 4.0)
         assert_allclose([consts.mu_h, consts.nu_h], [mu, nu], rtol=1e-14)
         assert consts.gamma > 0
+
+    def test_point_band_is_degenerate(self):
+        with pytest.raises(DegenerateIntervalError, match="band must have m < M"):
+            ol.mp_gamma(lambda t: t, lambda t: t, ol.GEOMETRIC.h, SpectralBand(2.0, 2.0))
 
     def test_corrected_chord_must_stay_positive(self):
         with pytest.raises(NonpositiveChordError):

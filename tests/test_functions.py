@@ -60,6 +60,10 @@ class TestCustom:
         with pytest.raises(ValueError, match="nonnegative"):
             custom_scalar("shifted", lambda t: t - 10.0)
 
+    def test_rejects_non_finite_values(self):
+        with pytest.raises(ValueError, match="non-finite values on the sample grid"):
+            custom_scalar("overflow", lambda t: np.where(t > 1.0, np.inf, t))
+
     def test_rejects_scalar_only_handle(self):
         with pytest.raises(ValueError, match="vectorized"):
             custom_scalar("bad", lambda t: 1.0)
@@ -126,6 +130,8 @@ NOT_MONOTONE = [
     ("t^1.05", lambda t: t**1.05),
     ("arctan", np.arctan),
     ("donoghue", _donoghue),
+    # finite on the custom_scalar grid, NaN at the Loewner probe's last slope node
+    ("nan-past-1e3", lambda t: np.where(t > 1e3, np.nan, t)),
 ]
 
 

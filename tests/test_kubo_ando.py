@@ -308,6 +308,10 @@ class TestBetweenness:
         assert not ol.is_between_harmonic_arithmetic(ol.weighted_geometric(0.9).h)
         assert not ol.is_between_harmonic_arithmetic(ol.weighted_arithmetic(0.1).h)
 
+    def test_non_finite_function_is_not(self):
+        h = kubo_ando.RepresentingFunction("custom", handle=lambda t: np.where(t > 1e3, np.inf, np.sqrt(t)))
+        assert not ol.is_between_harmonic_arithmetic(h)
+
 
 class TestAlm:
     def test_two_matrices_match_binary(self):
@@ -348,6 +352,22 @@ class TestAlm:
                 ol.alm_mean(mats, max_iter=1)
             assert 0 < err.value.residual < np.inf
 
+
+    @pytest.mark.parametrize(
+        "mats, error, message",
+        [
+            ([], ValueError, "^need at least one matrix$"),
+            (
+                [SymMatrix.identity(2), SymMatrix.identity(3)],
+                ol.DimensionMismatchError,
+                "^all matrices must share one dimension$",
+            ),
+        ],
+        ids=["empty", "mixed-dimensions"],
+    )
+    def test_malformed_inputs_are_rejected(self, mats, error, message):
+        with pytest.raises(error, match=message):
+            ol.alm_mean(mats)
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_iteration_cap_below_one_is_rejected(self, cap):

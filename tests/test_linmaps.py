@@ -78,6 +78,26 @@ class TestConstructors:
         with pytest.raises(ValueError, match="convex weights"):
             ol.convex_combination([(1.0, ol.identity_map()), (bad, ol.normalized_trace())])
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ol.compression(np.ones(3)), r"isometry must be tall or square, got shape \(3,\)"),
+            (lambda: ol.pinching([[0], []]), "pinching needs at least one nonempty block"),
+            (lambda: ol.convex_combination([]), "convex combination needs at least one part"),
+            (
+                lambda: ol.convex_combination(
+                    [(0.5, ol.pinching([[0], [1]])), (0.5, ol.pinching([[0], [1], [2]]))]
+                ),
+                "convex parts disagree on dimensions",
+            ),
+            (lambda: ol.unitalize(ol.normalized_trace()), "dim is required to unitalize"),
+        ],
+        ids=["compression-1d", "pinching-empty-block", "convex-empty", "convex-dimensions", "unitalize-no-dim"],
+    )
+    def test_malformed_construction_is_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_scale(self):
         phi = ol.scale(2.5)
         a = spd(2)

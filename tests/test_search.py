@@ -308,6 +308,20 @@ class TestRefineErrors:
                 assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("fail", [_flag_out_of_band, _fail_builder], ids=["band", "builder"])
+    def test_one_step_walk_raises(self, fail, monkeypatch):
+        # a window of one that raises has no shorter window to fall back on
+        w = falsify(Q2SQ, budget=150, seed=17)
+        candidates = []
+        _reference_refine(w, 1, 0.05, 37, candidates=candidates)
+        fail(monkeypatch, candidates[0])
+        error = BandViolationError if fail is _flag_out_of_band else RuntimeError
+        with pytest.raises(error) as want:
+            _reference_refine(w, 1, 0.05, 37)
+        with pytest.raises(error) as got:
+            refine(w, 1, 0.05, 37)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("fail", [_flag_out_of_band, _fail_builder], ids=["band", "builder"])
     def test_discarded_candidate_does_not_raise(self, fail, monkeypatch):
         w, accepted, candidates = self._walk()
         with monkeypatch.context() as patch:

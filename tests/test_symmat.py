@@ -30,6 +30,11 @@ class TestSymMatrix:
         with pytest.raises(ValueError):
             SymMatrix([[np.inf, 0.0], [0.0, 1.0]])
 
+    def test_rejects_entries_whose_sum_overflows(self):
+        # 1.5e308 + 1.5e308 used to be stored as inf after a warning
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            SymMatrix([[1.5e308, 0.0], [0.0, 1.5e308]])
+
     def test_rejects_non_2d(self):
         with pytest.raises(DimensionMismatchError):
             SymMatrix([1.0, 2.0])
@@ -243,6 +248,18 @@ class TestRandomSpdTrials:
         band = SpectralBand(0.4, 3.0)
         got = symmat.random_spd_trials(3, band, 2, 11, 2**64 - 150, 2**64 + 150)
         assert got.tobytes() == _reference_draw(3, band, 2, 11, 2**64 - 150, 2**64 + 150).tobytes()
+
+    @pytest.mark.parametrize(
+        "dim, start, error, message",
+        [
+            (0, 0, DimensionMismatchError, "^dimension must be at least 1$"),
+            (2, -1, ValueError, "^trial indices must be nonnegative$"),
+        ],
+        ids=["dim-0", "start-minus-1"],
+    )
+    def test_bad_dimension_or_start_is_rejected(self, dim, start, error, message):
+        with pytest.raises(error, match=message):
+            symmat.random_spd_trials(dim, SpectralBand(1.0, 2.0), 2, 0, start, 4)
 
     def test_negative_seed_is_rejected(self):
         with pytest.raises(ValueError, match="^seed must be nonnegative$"):
