@@ -53,7 +53,7 @@ run(ol.StatementConfig("Q", band=wide))
 if rep.violations:
     w = rep.witnesses[0]
     print()
-    print(f"first violating trial for q2sq: index {w.trial_index},"
+    print(f"worst violating trial for q2sq: index {w.trial_index},"
           f" gap min eig {w.gap_min_eig:.6f}, gap det {w.gap_det:.6f}")
     a, b = w.matrices
     print("A spectrum:", np.round(ol.eig_sym(a).eigenvalues, 4))

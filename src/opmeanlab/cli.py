@@ -23,6 +23,7 @@ import platform
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -98,7 +99,9 @@ def parse_mean(text: str):
     raise ValueError(grammar)
 
 
-def parse_map(text: str):
+def parse_map(text: str, dim: int = StatementConfig.dim):
+    """The map named by ``text``; ``dim`` is the dimension at which a
+    dimension-agnostic map is unitalized."""
     grammar = f"unknown map {text!r}; use identity|trace|scale:k|pinch:0,1|2|compress:file|unitalize:<map>"
     if text == "identity":
         return identity_map()
@@ -113,7 +116,7 @@ def parse_map(text: str):
     if head == "compress":
         return compression(read_general_matrix(rest))
     if head == "unitalize":
-        return unitalize(parse_map(rest))
+        return unitalize(parse_map(rest, dim), dim=dim)
     raise ValueError(grammar)
 
 
@@ -154,14 +157,13 @@ def _add_report_flags(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("text", "json"), default="text", help="stdout format")
 
 
-#: Parser of each statement flag given as text in the library's grammar;
-#: the numeric flags arrive parsed.
+#: Parser of each statement flag given as text in the library's grammar,
+#: apart from the maps, whose parser also takes ``--dim``; the numeric
+#: flags arrive parsed.
 _CONFIG_PARSERS = {
     "band": parse_band,
     "sigma": parse_mean,
     "tau": parse_mean,
-    "phi": parse_map,
-    "psi": parse_map,
     "f": parse_function,
     "g": parse_function,
 }
@@ -170,11 +172,14 @@ _CONFIG_PARSERS = {
 def build_config(args) -> StatementConfig:
     """The statement of the given flags; an omitted flag keeps the default
     of :class:`StatementConfig`."""
+    dim = StatementConfig.dim if args.dim is None else args.dim
+    maps = partial(parse_map, dim=dim)
+    parsers = dict(_CONFIG_PARSERS, phi=maps, psi=maps)
     given = {}
     for name in ("band", "sigma", "tau", "phi", "psi", "f", "g", "p", "q", "dim", "n_matrices"):
         value = getattr(args, name)
         if value is not None and value != "":
-            given[name] = _CONFIG_PARSERS[name](value) if name in _CONFIG_PARSERS else value
+            given[name] = parsers[name](value) if name in parsers else value
     return StatementConfig(statement_id=args.statement, **given)
 
 
@@ -352,7 +357,7 @@ def cmd_trials(args) -> int:
                 "gap_min_eig": w.gap_min_eig,
                 "gap_det": w.gap_det,
             }
-            for w in rep.witnesses[:10]
+            for w in rep.witnesses
         ],
     }
     lines = [

@@ -33,6 +33,7 @@ on one trial's ``(n, d, d)`` inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -92,6 +93,9 @@ __all__ = [
 #: intermediates at a time.
 _BLOCK = 256
 
+#: Violating trials a :class:`TrialReport` keeps as witnesses (the worst).
+_KEPT_WITNESSES = 10
+
 
 class UnknownStatementError(KeyError):
     """No statement with the requested identifier."""
@@ -147,6 +151,15 @@ class TrialViolation:
 
 @dataclass(frozen=True)
 class TrialReport:
+    """Outcome of :func:`run_trials`.
+
+    ``violations`` counts every violating trial, but ``witnesses`` keeps at
+    most ten of them (``_KEPT_WITNESSES``): those with the most negative
+    ``gap_min_eig``, the earlier trial first on ties, stored worst first.
+    So when any trial violates, ``witnesses[0].gap_min_eig`` is
+    ``worst_margin``, and a long run holds no more than ten witnesses.
+    """
+
     statement_id: str
     trials: int
     counted: int
@@ -666,7 +679,9 @@ def run_trials(cfg: StatementConfig, trials: int, seed: int) -> TrialReport:
     Matrices are pinned to the band edges with probability one half each,
     which keeps the constants honest for roughly half the draws.  Each
     trial draws from its own seeded stream; evaluation runs in fixed
-    blocks of trials through :func:`trial_blocks`.
+    blocks of trials through :func:`trial_blocks`, and each block adds only
+    its worst violations to the witnesses kept (see :class:`TrialReport`),
+    so memory stays flat in the trial count.
     """
     if trials < 0:
         raise ValueError("trial count must be nonnegative")
@@ -676,29 +691,36 @@ def run_trials(cfg: StatementConfig, trials: int, seed: int) -> TrialReport:
     if bad_unital:
         raise UnitalityError("; ".join(bad_unital))
     hyp = hypothesis_violations(cfg)
-    violations = []
+    violations = 0
+    kept = []
     worst = np.inf
     for first, x, verdict in () if hyp else trial_blocks(cfg, seed, 0, trials):
         worst = min(worst, verdict.gap_min_eig.min())
         violating = np.flatnonzero(~verdict.holds)
-        for t, mats in zip(violating, x[violating]):
-            violations.append(
-                TrialViolation(
-                    trial_index=first + int(t),
-                    matrices=_as_matrices(mats),
-                    gap_min_eig=float(verdict.gap_min_eig[t]),
-                    gap_det=float(verdict.gap_det[t]),
-                )
+        violations += len(violating)
+        # the block's worst few, earlier trials first on ties
+        order = np.argsort(verdict.gap_min_eig[violating], kind="stable")
+        chosen = violating[order[:_KEPT_WITNESSES]]
+        kept += [
+            TrialViolation(
+                trial_index=first + int(t),
+                matrices=_as_matrices(mats),
+                gap_min_eig=float(verdict.gap_min_eig[t]),
+                gap_det=float(verdict.gap_det[t]),
             )
+            for t, mats in zip(chosen, x[chosen])
+        ]
+        # a stable sort: on equal gaps the earlier kept trials stay first
+        kept = sorted(kept, key=attrgetter("gap_min_eig"))[:_KEPT_WITNESSES]
     counted = 0 if hyp else trials
     return TrialReport(
         statement_id=cfg.statement_id,
         trials=trials,
         counted=counted,
         rejected=trials - counted,
-        violations=len(violations),
+        violations=violations,
         worst_margin=float(worst) if counted > 0 else None,
         seed=seed,
-        witnesses=tuple(violations),
+        witnesses=tuple(kept),
         hypothesis_violations=hyp,
     )

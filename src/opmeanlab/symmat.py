@@ -19,6 +19,7 @@ stream-compatibility policy (NEP 19).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -485,74 +486,82 @@ def _words32(n: int) -> list:
 def _pcg64_states(seed: int, start: int, stop: int):
     """The ``PCG64.state`` of ``default_rng([seed, i])`` for each ``i`` in
     ``start .. stop - 1``.  Indices that share their words above the lowest
-    are hashed together, as ``uint32`` arrays."""
+    are hashed together, as one ``(words, indices)`` ``uint32`` array.  One
+    state dict is updated in place for each index, so set it before taking
+    the next."""
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    seed_words = _words32(seed)
     first = start
     while first < stop:
         upper = first >> 32
         last = min(stop, (upper + 1) << 32)
-        size = last - first
-        lowest = (np.arange(size) + (first & _MASK32)).astype(np.uint32)
-        entropy = (
-            [np.full(size, w, np.uint32) for w in _words32(seed)]
-            + [lowest]
-            + [np.full(size, w, np.uint32) for w in (_words32(upper) if upper else [])]
-        )
-        words = [w.astype(np.uint64) for w in _seed_state_words(entropy)]
-        seed_hi, seed_lo, seq_hi, seq_lo = (
-            (words[2 * k + 1] << 32 | words[2 * k]).tolist() for k in range(4)
-        )
-        for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+        words = seed_words + [0] + (_words32(upper) if upper else [])
+        entropy = np.empty((len(words), last - first), np.uint32)
+        entropy[:] = np.array(words, np.uint32)[:, None]
+        entropy[len(seed_words)] = np.arange(last - first) + (first & _MASK32)
+        # per index: seed_hi, seed_lo, seq_hi, seq_lo, each from two words
+        halves = np.ascontiguousarray(_seed_state_words(entropy).T, dtype="<u4").view("<u8")
+        for s_hi, s_lo, q_hi, q_lo in halves.tolist():
             # pcg64_set_seed: inc = 2 seq + 1; state = (inc + seed) * MULT + inc
             inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-            state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-            yield {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+            pcg["inc"] = inc
+            yield state
         first = last
 
 
-def _seed_state_words(entropy: list) -> list:
+@functools.cache
+def _hash_constants(init: int, mult: int, calls: int) -> tuple:
+    """The ``(xor, multiplier)`` columns, ``(calls, 1)`` each, of ``calls``
+    successive hashes: hash ``k`` xors its value with ``c_k`` and multiplies
+    it by ``c_(k+1)``, where ``c_0 = init`` and ``c_(k+1) = c_k mult``
+    (mod 2^32).  Cached: one entry per entropy length in use."""
+    c = [init]
+    for _ in range(calls):
+        c.append(c[-1] * mult & _MASK32)
+    column = np.array(c, np.uint32)[:, None]
+    column.setflags(write=False)
+    return column[:-1], column[1:]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> 16)
+
+
+def _seed_state_words(entropy: np.ndarray) -> np.ndarray:
     """``SeedSequence(e).generate_state(8, np.uint32)`` for the entropy
-    words ``e``, given as a list of ``uint32`` arrays (one entry per word,
-    one element per sequence); the result is a list of eight arrays."""
-    hash_const = _HASH_INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _HASH_MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> 16)
-
-    zeros = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(4)]
+    words ``e``, given as a ``(words, T)`` ``uint32`` array (one row per
+    word, one column per sequence); the result is an ``(8, T)`` array."""
+    words = len(entropy)
+    xor, mult = _hash_constants(_HASH_INIT_A, _HASH_MULT_A, 16 + 4 * max(words - 4, 0))
+    pool = np.zeros((4, entropy.shape[1]), np.uint32)
+    pool[: min(words, 4)] = entropy[:4]
+    pool = _hashmix(pool, xor[:4], mult[:4])
+    # each pool word, hashed three times, into the other three
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const = _HASH_INIT_B
-    out = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * _HASH_MULT_B & _MASK32
-        value = value * hash_const
-        out.append(value ^ (value >> 16))
-    return out
+        dst = [i for i in range(4) if i != src]
+        k = 4 + 3 * src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[k : k + 3], mult[k : k + 3]))
+    # each further entropy word, hashed four times, into all four
+    for i, word in enumerate(entropy[4:]):
+        k = 16 + 4 * i
+        pool = _mix(pool, _hashmix(word, xor[k : k + 4], mult[k : k + 4]))
+    xor, mult = _hash_constants(_HASH_INIT_B, _HASH_MULT_B, 8)
+    return _hashmix(np.tile(pool, (2, 1)), xor, mult)
 
 
 def _conjugate_spectra(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     """``Q diag(w) Q^T`` over stacks, with ``Q`` the sign-fixed (Haar) QR
-    factor of the Gaussian matrix ``g``."""
+    factor of the Gaussian matrix ``g``.  Entries that overflow (spectra
+    near the float maximum) raise one error, not a warning."""
     q, r = np.linalg.qr(g)
     q = q * np.where(np.diagonal(r, axis1=-2, axis2=-1) >= 0.0, 1.0, -1.0)[..., None, :]
-    return _symmetrize((q * w[..., None, :]) @ q.mT)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _symmetrize((q * w[..., None, :]) @ q.mT)

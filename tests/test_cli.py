@@ -323,6 +323,21 @@ class TestCheckCommand:
         code, out, err = run_cli(capsys, "check", "t22-a", "--dim", "4", "--phi", f"compress:{frame}")
         assert (code, out, err) == (2, "", "error: dimension mismatch: 2 vs 4\n")
 
+    @pytest.mark.parametrize("dim", [None, "2", "3", "4"])
+    def test_unitalized_trace_is_the_trace(self, dim, capsys):
+        # the trace is unital, so unitalizing it at --dim changes no bit
+        sized = () if dim is None else ("--dim", dim)
+        reports = []
+        for name in ("trace", "unitalize:trace"):
+            code, out, err = run_cli(
+                capsys, "check", "t22-a", *sized, "--phi", name, "--psi", name, "--seed", "1", "--format", "json"
+            )
+            assert (code, err) == (0, "")
+            reports.append(json.loads(out))
+        trace, unitalized = reports
+        assert unitalized["config"]["phi"] == f"unitalized({trace['config']['phi']})"
+        assert (unitalized["holds"], unitalized["gap_min_eig"].hex()) == (trace["holds"], trace["gap_min_eig"].hex())
+
     def test_omitted_flags_keep_library_defaults(self, capsys):
         code, out, _ = run_cli(capsys, "check", "ando", "--format", "json")
         assert code == 0
@@ -470,6 +485,9 @@ def test_module_entry_point():
 
 
 def _overflow_argv(command, tmp_path):
+    if command == "draw":
+        # seeded draws near the float maximum overflow when symmetrized
+        return ["check", "ando", "--band", "1e308:1.5e308", "--seed", "1"]
     if command == "check":
         # k = 2^1000 2^1000 is inf, and inf times a zero entry of a trace image is nan
         return ["check", "c27", "--band", "0.5:2", "--p", "1000", "--q", "1000", "--seed", "1",
@@ -482,7 +500,7 @@ def _overflow_argv(command, tmp_path):
 
 
 @pytest.mark.parametrize("warnings", [[], ["-W", "error::RuntimeWarning"]], ids=["default", "warnings-as-errors"])
-@pytest.mark.parametrize("command", ["check", "mean"])
+@pytest.mark.parametrize("command", ["check", "mean", "draw"])
 def test_overflow_is_one_error_line(command, warnings, tmp_path):
     proc = subprocess.run(
         [sys.executable, *warnings, "-m", "opmeanlab.cli", *_overflow_argv(command, tmp_path)],

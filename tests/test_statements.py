@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from opmeanlab import (
     UnitalityError,
     UnknownStatementError,
 )
+from opmeanlab import statements
 
 ALL_IDS = (
     "ando", "ps-1.1",
@@ -199,6 +201,48 @@ class TestRunTrials:
             mats.append(ol.random_spd(cfg.dim, cfg.band, pinned=pinned, rng=rng))
         for stored, redrawn in zip(w.matrices, mats):
             assert np.array_equal(stored.data, redrawn.data)
+
+    @pytest.mark.parametrize("trials, seed", [(150, 17), (40, 21), (12, 3), (0, 1)])
+    def test_keeps_the_worst_witnesses(self, trials, seed):
+        cfg = StatementConfig(statement_id="q2sq", band=SpectralBand(0.4, 3.0))
+        rep = ol.run_trials(cfg, trials=trials, seed=seed)
+        assert len(rep.witnesses) == min(statements._KEPT_WITNESSES, rep.violations)
+        if rep.violations:
+            assert rep.witnesses[0].gap_min_eig == rep.worst_margin
+        keys = [(w.gap_min_eig, w.trial_index) for w in rep.witnesses]
+        assert keys == sorted(keys)
+
+    def test_ties_go_to_the_earlier_trial(self, monkeypatch):
+        # a stub builder whose gap is -2, +1, -1, -2, +1, -1, ... by trial
+        # index, evaluated in blocks of 4 so that ties cross blocks
+        monkeypatch.setattr(statements, "_BLOCK", 4)
+        info = ol.get_statement("ando")
+        built = []
+
+        def build(cfg, consts, x):
+            index = np.arange(len(built), len(built) + len(x))
+            built.extend(index)
+            gap = np.array([-2.0, 1.0, -1.0])[index % 3]
+            return np.zeros(x.shape[:-3] + (2, 2)), gap[:, None, None] * np.eye(2)
+
+        stub = dataclasses.replace(info, build=build)
+        monkeypatch.setattr(statements, "get_statement", lambda sid: stub)
+        rep = ol.run_trials(StatementConfig(statement_id="ando"), trials=20, seed=0)
+        assert rep.violations == 13
+        assert [w.trial_index for w in rep.witnesses] == [0, 3, 6, 9, 12, 15, 18, 2, 5, 8]
+
+    def test_memory_is_flat_in_the_trial_count(self):
+        cfg = StatementConfig(statement_id="q2sq", band=SpectralBand(0.4, 3.0))
+        ol.run_trials(cfg, trials=10, seed=7)
+        peaks = []
+        for trials in (1000, 8000):
+            tracemalloc.start()
+            try:
+                ol.run_trials(cfg, trials=trials, seed=7)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
 
     def test_deterministic_across_runs(self):
         cfg = StatementConfig(statement_id="q2sq", band=SpectralBand(0.4, 3.0))
