@@ -8,8 +8,9 @@ search), ``reproduce`` (re-derive the bundled known violations).
 Exit codes: 0 when the run completed and the outcome matched expectation
 (``--expect-violation`` flips what counts as expected), 1 when it
 completed contrary to expectation, 2 for usage or configuration errors and
-for runs that cannot finish (overflow, a mean or eigensolver that does not
-converge), reported as one ``error:`` line on stderr.
+for runs that cannot finish (overflow, exhausted memory, a mean or
+eigensolver that does not converge), reported as one ``error:`` line on
+stderr.
 
 JSON output is canonical: keys sorted, two-space indent, no timing fields,
 so identical invocations produce byte-identical reports.
@@ -563,6 +564,9 @@ def main(argv=None) -> int:
         return 2
     except OverflowError as exc:
         print(f"error: numeric overflow: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -231,7 +231,7 @@ def yamazaki_coeff(band: SpectralBand, n: int) -> float:
 
     Integer exponents are computed by repeated multiplication so that, for
     example, the value at ``(m, M, n) = (1, 2, 5)`` is the exact square
-    ``(9/8)^2``.
+    ``(9/8)^2``.  A power past the float range raises ``OverflowError``.
     """
     n = int(n)
     if n < 2:
@@ -243,4 +243,6 @@ def yamazaki_coeff(band: SpectralBand, n: int) -> float:
         out *= k
     if rem:
         out *= math.sqrt(k)
+    if not math.isfinite(out):
+        raise OverflowError(f"yamazaki coefficient K^({n - 1}/2) is not finite")
     return out

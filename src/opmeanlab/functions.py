@@ -16,6 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+from .symmat import _eigh
+
 __all__ = [
     "ScalarFunction",
     "IDENTITY",
@@ -134,7 +136,7 @@ def _loewner_margin(fn: Callable) -> float:
     if (slope <= 0.0).any():
         return -np.inf
     r = 1.0 / np.sqrt(slope)
-    return float(np.linalg.eigvalsh(loewner * r[:, None] * r)[0])
+    return float(_eigh(loewner * r[:, None] * r, vectors=False)[0])
 
 
 def is_operator_monotone(fn: ScalarFunction) -> bool:

@@ -61,8 +61,9 @@ from .symmat import (
     PD_FLOOR,
     DimensionMismatchError,
     NotPositiveDefiniteError,
-    SpectrumDomainError,
     SymMatrix,
+    _eigh,
+    _reassemble,
 )
 
 __all__ = [
@@ -278,23 +279,18 @@ def _binary_mean(h: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     try:
         factor = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        raise _floor_error(np.linalg.eigvalsh(a)[..., 0].min()) from None
+        raise _floor_error(_eigh(a, vectors=False)[..., 0].min()) from None
     inv_factor = np.linalg.inv(factor)
     if (
         np.vdot(inv_factor, inv_factor) >= 1.0 / PD_FLOOR
-        and (low := np.linalg.eigvalsh(a)[..., 0].min()) <= PD_FLOOR
+        and (low := _eigh(a, vectors=False)[..., 0].min()) <= PD_FLOOR
     ):
         raise _floor_error(low)
     c = inv_factor @ b @ inv_factor.mT
-    wc, qc = np.linalg.eigh((c + c.mT) / 2.0)
+    wc, qc = _eigh((c + c.mT) / 2.0)
     if (low := wc[0] if wc.ndim == 1 else wc[..., 0].min()) <= PD_FLOOR:
         raise _floor_error(low)
-    with np.errstate(all="ignore"):
-        hw = np.asarray(h(wc), dtype=float)
-    if not np.isfinite(hw).all():
-        bad = wc[~np.isfinite(hw)][0]
-        raise SpectrumDomainError(f"representing function undefined at eigenvalue {float(bad)!r}")
-    out = factor @ ((qc * hw[..., None, :]) @ qc.mT) @ factor.mT
+    out = factor @ _reassemble(wc, qc, h, "representing function undefined") @ factor.mT
     return (out + out.mT) / 2.0
 
 

@@ -23,6 +23,10 @@ from .symmat import (
     DimensionMismatchError,
     NotPositiveDefiniteError,
     SymMatrix,
+    _as_generator,
+    _eigh,
+    _haar_frame,
+    _reassemble,
     _symmetrize,
 )
 
@@ -210,13 +214,12 @@ def unitalize(phi: MapDescriptor, dim: int | None = None) -> MapDescriptor:
             raise ValueError("dim is required to unitalize a dimension-agnostic map")
         d = dim
     image = apply_map(phi, SymMatrix.identity(d))
-    w, q = np.linalg.eigh(image.data)
+    w, q = _eigh(image.data)
     if w[0] <= PD_FLOOR:
         raise NotPositiveDefiniteError(
             "map image of the identity is singular; perturb the map before unitalizing"
         )
-    frame = (q * (1.0 / np.sqrt(w))) @ q.T
-    frame = (frame + frame.T) / 2.0
+    frame = _symmetrize(_reassemble(w, q, lambda t: 1.0 / np.sqrt(t)))
     frame.setflags(write=False)
     # The correction frame was computed at a fixed dimension, so a sandwich
     # of a dimension-agnostic map is dimension-fixed.
@@ -229,20 +232,16 @@ def unitalize(phi: MapDescriptor, dim: int | None = None) -> MapDescriptor:
 def catalog_maps(dim: int, rng=None, include_nonunital: bool = True) -> list:
     """Representative map instances at a given dimension, for tests and demos.
 
-    Includes identity, normalized trace, a pinching (two blocks when the
-    dimension allows), a Haar-random compression to ``dim - 1`` columns
-    (square at dim 1), a convex combination, and, unless suppressed, the
-    non-unital ``scale(2)``.
+    Includes identity, normalized trace, from dimension 2 a two-block
+    pinching and a Haar-random compression to ``dim - 1`` columns, a convex
+    combination, and, unless suppressed, the non-unital ``scale(2)``.
     """
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = _as_generator(rng)
     maps = [identity_map(), normalized_trace()]
     if dim >= 2:
         cut = dim // 2
         maps.append(pinching((tuple(range(cut)), tuple(range(cut, dim)))))
-        g = gen.standard_normal((dim, dim))
-        q, r = np.linalg.qr(g)
-        q = q * np.where(np.diagonal(r) >= 0.0, 1.0, -1.0)
-        maps.append(compression(q[:, : max(1, dim - 1)]))
+        maps.append(compression(_haar_frame(gen.standard_normal((dim, dim)))[:, : dim - 1]))
     maps.append(convex_combination([(0.5, identity_map()), (0.5, normalized_trace())]))
     if include_nonunital:
         maps.append(scale(2.0))

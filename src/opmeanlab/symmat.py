@@ -4,7 +4,9 @@ Everything downstream (operator means, positive linear maps, inequality
 checks) reduces to the functional calculus of real symmetric matrices:
 eigendecompose, transform the spectrum, reassemble.  This module owns the
 value types, the Loewner order check, spectral bands, and seeded random
-generation of positive definite matrices with a prescribed spectrum.
+generation of positive definite matrices with a prescribed spectrum, and
+the primitives the other modules share: every symmetric eigensolve
+(``_eigh``), the reassembly ``Q f(w) Q^T`` and the Haar frame.
 
 The kernels behind the public functions work on stacks ``(..., d, d)``
 and give every matrix of a stack the bits it gets alone, so the trial
@@ -206,11 +208,12 @@ def _symmetrize(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _eigh(x: np.ndarray):
-    """``np.linalg.eigh`` over a stack, with convergence failures raised as
+def _eigh(x: np.ndarray, vectors: bool = True):
+    """``np.linalg.eigh``, or ``eigvalsh`` unless ``vectors``, over a stack
+    (looked up on each call), with convergence failures raised as
     :class:`EigenConvergenceError` carrying the largest off-diagonal norm."""
     try:
-        return np.linalg.eigh(x)
+        return np.linalg.eigh(x) if vectors else np.linalg.eigvalsh(x)
     except np.linalg.LinAlgError as exc:
         off = x * (1.0 - np.eye(x.shape[-1]))
         norm = np.linalg.norm(off, axis=(-2, -1)).max()
@@ -231,42 +234,34 @@ def eig_sym(a: SymMatrix) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=q)
 
 
-def _apply_scalar(x: np.ndarray, f: Callable, domain_min: float | None = None) -> np.ndarray:
-    """:func:`apply_scalar` over a stack ``(..., d, d)``, symmetrized.
-
-    Errors name the smallest offending eigenvalue of the whole stack.
-    """
-    w, q = _eigh(x)
-    if domain_min is not None and (low := w[..., 0].min()) <= domain_min:
-        raise SpectrumDomainError(
-            f"eigenvalue {low:.6e} is at or below the domain floor {domain_min:.3e}"
-        )
+def _reassemble(w, q, f: Callable, undefined: str = "scalar function is undefined") -> np.ndarray:
+    """``Q f(w) Q^T`` over a stack, not symmetrized.  An ``f(w)`` of another
+    shape, or not finite (then named ``undefined`` at an eigenvalue), raises
+    :class:`SpectrumDomainError`."""
     with np.errstate(all="ignore"):
         fw = np.asarray(f(w), dtype=float)
     if fw.shape != w.shape:
         raise SpectrumDomainError("scalar function must map eigenvalues elementwise")
     if not np.isfinite(fw).all():
         bad = w[~np.isfinite(fw)][0]
-        raise SpectrumDomainError(f"scalar function is undefined at eigenvalue {float(bad)!r}")
-    return _symmetrize((q * fw[..., None, :]) @ q.mT)
+        raise SpectrumDomainError(f"{undefined} at eigenvalue {float(bad)!r}")
+    return (q * fw[..., None, :]) @ q.mT
 
 
-def apply_scalar(
-    a: SymMatrix,
-    f: Callable[[np.ndarray], np.ndarray],
-    domain_min: float | None = None,
-) -> SymMatrix:
+def _apply_scalar(x: np.ndarray, f: Callable) -> np.ndarray:
+    """:func:`apply_scalar` over a stack ``(..., d, d)``, symmetrized."""
+    return _symmetrize(_reassemble(*_eigh(x), f))
+
+
+def apply_scalar(a: SymMatrix, f: Callable[[np.ndarray], np.ndarray]) -> SymMatrix:
     """Apply a scalar function to ``a`` through its spectral decomposition.
 
     Returns ``Q f(w) Q^T`` where ``A = Q diag(w) Q^T``.  ``f`` must accept an
-    array of eigenvalues and map it elementwise.
-
-    ``domain_min`` guards functions that are undefined at or below a
-    spectrum floor (inverse powers, logarithms): any eigenvalue at or below
-    it raises :class:`SpectrumDomainError` naming the offending eigenvalue.
-    Non-finite outputs of ``f`` raise the same error.
+    array of eigenvalues and map it elementwise; a non-finite output (an
+    inverse power or a logarithm at a nonpositive eigenvalue) raises
+    :class:`SpectrumDomainError` naming the offending eigenvalue.
     """
-    return SymMatrix._wrap(_apply_scalar(a.data, f, domain_min))
+    return SymMatrix._wrap(_apply_scalar(a.data, f))
 
 
 def congruence(a: SymMatrix, t) -> SymMatrix:
@@ -285,7 +280,7 @@ def congruence(a: SymMatrix, t) -> SymMatrix:
 
 def op_norm(a: SymMatrix) -> float:
     """Operator (spectral) norm: the largest absolute eigenvalue."""
-    w = np.linalg.eigvalsh(a.data)
+    w = _eigh(a.data, vectors=False)
     return float(max(abs(w[0]), abs(w[-1])))
 
 
@@ -296,12 +291,12 @@ def _loewner(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> OrderVer
     if a.shape[-1] != b.shape[-1]:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
     if tol is None:
-        w, wa, wb = np.linalg.eigvalsh(np.stack((b - a, a, b)))
+        w, wa, wb = _eigh(np.stack((b - a, a, b)), vectors=False)
         norm_a = np.maximum(np.abs(wa[..., 0]), np.abs(wa[..., -1]))
         norm_b = np.maximum(np.abs(wb[..., 0]), np.abs(wb[..., -1]))
         tol = 1e-9 * (1.0 + np.maximum(norm_a, norm_b))
     else:
-        w = np.linalg.eigvalsh(b - a)
+        w = _eigh(b - a, vectors=False)
         tol = np.full(w.shape[:-1], float(tol))
     return OrderVerdict(
         holds=w[..., 0] >= -tol,
@@ -335,16 +330,12 @@ def spectral_band_of(mats: Sequence[SymMatrix]) -> SpectralBand:
     mats = list(mats)
     if not mats:
         raise ValueError("need at least one matrix")
-    lo = np.inf
-    hi = -np.inf
+    lo, hi = np.inf, -np.inf
     for i, a in enumerate(mats):
-        w = np.linalg.eigvalsh(a.data)
+        w = _eigh(a.data, vectors=False)
         if w[0] <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"matrix {i} has eigenvalue {w[0]:.6e} <= 0"
-            )
-        lo = min(lo, w[0])
-        hi = max(hi, w[-1])
+            raise NotPositiveDefiniteError(f"matrix {i} has eigenvalue {w[0]:.6e} <= 0")
+        lo, hi = min(lo, w[0]), max(hi, w[-1])
     return SpectralBand(lo, hi)
 
 
@@ -360,7 +351,7 @@ def validate_band(mats: Sequence[SymMatrix], band: SpectralBand) -> BandReport:
     ``tol = 1e-9 * (1 + M)``.  The report lists offending eigenvalues per
     matrix rather than failing fast.
     """
-    return _band_report([np.linalg.eigvalsh(a.data) for a in mats], band, _band_tol(band))
+    return _band_report([_eigh(a.data, vectors=False) for a in mats], band, _band_tol(band))
 
 
 def _band_report(eigenvalues, band: SpectralBand, tol: float) -> BandReport:
@@ -378,7 +369,7 @@ def _first_out_of_band(x: np.ndarray, band: SpectralBand) -> tuple:
     eigenvalue outside the band, or ``(T, None)`` when every matrix is
     inside."""
     tol = _band_tol(band)
-    w = np.linalg.eigvalsh(x)
+    w = _eigh(x, vectors=False)
     outside = (w < band.m - tol) | (w > band.M + tol)
     if not outside.any():
         return len(w), None
@@ -557,11 +548,15 @@ def _seed_state_words(entropy: np.ndarray) -> np.ndarray:
     return _hashmix(np.tile(pool, (2, 1)), xor, mult)
 
 
-def _conjugate_spectra(w: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``Q diag(w) Q^T`` over stacks, with ``Q`` the sign-fixed (Haar) QR
-    factor of the Gaussian matrix ``g``.  Entries that overflow (spectra
-    near the float maximum) raise one error, not a warning."""
+def _haar_frame(g: np.ndarray) -> np.ndarray:
+    """The Haar frame of Gaussian matrices ``g`` over a stack: the QR factor
+    ``Q``, its column signs fixed so that ``R`` has a nonnegative diagonal."""
     q, r = np.linalg.qr(g)
-    q = q * np.where(np.diagonal(r, axis1=-2, axis2=-1) >= 0.0, 1.0, -1.0)[..., None, :]
+    return q * np.where(np.diagonal(r, axis1=-2, axis2=-1) >= 0.0, 1.0, -1.0)[..., None, :]
+
+
+def _conjugate_spectra(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``Q diag(w) Q^T`` over stacks, ``Q`` the Haar frame of ``g``.  Entries
+    that overflow (spectra near the float maximum) raise one error, not a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _symmetrize((q * w[..., None, :]) @ q.mT)
+        return _symmetrize(_reassemble(w, _haar_frame(g), lambda t: t))

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import opmeanlab as ol
-from opmeanlab import SpectralBand, SymMatrix
+from opmeanlab import SpectralBand, SymMatrix, statements
 from opmeanlab.cli import _config_dict, main, parse_band, parse_function, parse_map, parse_mean
 from opmeanlab.matio import write_sym_matrix
 
@@ -111,6 +111,11 @@ class TestConstantsCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_infinite_yamazaki_power_is_one_line_error(self, capsys):
+        code, out, err = run_cli(capsys, "constants", "--n-matrices", "20000", "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == "error: numeric overflow: yamazaki coefficient K^(19999/2) is not finite\n"
 
 
 class TestMeanCommand:
@@ -342,6 +347,18 @@ class TestCheckCommand:
         code, out, _ = run_cli(capsys, "check", "ando", "--format", "json")
         assert code == 0
         assert json.loads(out)["config"] == _config_dict(ol.StatementConfig("ando"))
+
+
+    def test_exhausted_memory_is_one_line_error(self, capsys, monkeypatch):
+        # the n = 30 ALM recursion of this check cannot be allocated; the
+        # allocation failure is simulated, not provoked
+        def alm(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(statements, "_alm", alm)
+        code, out, err = run_cli(capsys, "check", "yamazaki", "--n-matrices", "30", "--dim", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
 
 
 class TestTrialsCommand:

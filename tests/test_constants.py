@@ -177,6 +177,12 @@ class TestYamazakiCoeff:
         with pytest.raises(ValueError):
             ol.yamazaki_coeff(BAND_12, 1)
 
+    def test_power_past_the_float_range_overflows(self):
+        # K(1, 2) = 9/8 and 9/8^6000 is about 1.5e306
+        assert 1e306 < ol.yamazaki_coeff(BAND_12, 12001) < np.inf
+        with pytest.raises(OverflowError, match="not finite"):
+            ol.yamazaki_coeff(BAND_12, 20000)
+
 
 # The five bands of the criterion-5 grid, and the values mp_alpha and
 # mp_gamma returned on them before mp_gamma shared chord_ratio_max's

@@ -144,11 +144,16 @@ def _force_alm_cap(monkeypatch, cap=2):
     monkeypatch.setattr(statements, "_alm", capped)
 
 
-def _break_eigh(monkeypatch):
-    def eigh(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+def _broken_solver(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+def _break_eigh(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", _broken_solver)
+
+
+def _break_eigvalsh(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", _broken_solver)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -163,9 +168,11 @@ def _break_eigh(monkeypatch):
             None,
         ),
         (EigenConvergenceError, StatementConfig("q2", p=0.5), _break_eigh),
+        (EigenConvergenceError, StatementConfig("ando", dim=3), _break_eigh),
+        (EigenConvergenceError, StatementConfig("q2", p=0.5), _break_eigvalsh),
         (AlmConvergenceError, StatementConfig("ragm", dim=3), _force_alm_cap),
     ],
-    ids=["not-pd-ando", "not-pd-ps11", "domain-t22a", "eigen", "alm"],
+    ids=["not-pd-ando", "not-pd-ps11", "domain-t22a", "eigen", "eigen-mean", "eigvalsh", "alm"],
 )
 def test_failing_inputs_raise_the_same_error(error, cfg, setup, block, monkeypatch):
     if setup is not None:
@@ -176,3 +183,21 @@ def test_failing_inputs_raise_the_same_error(error, cfg, setup, block, monkeypat
         ol.run_trials(cfg, 6, 3)
     with pytest.raises(error):
         falsify(cfg, 6, 3)
+
+
+@pytest.mark.parametrize(
+    "setup, call",
+    [
+        (_break_eigh, lambda a, b: ol.mean(ol.GEOMETRIC, a, b)),
+        (_break_eigh, lambda a, b: ol.unitalize(ol.normalized_trace(), dim=3)),
+        (_break_eigvalsh, lambda a, b: ol.loewner_leq(a, b)),
+        (_break_eigvalsh, lambda a, b: ol.validate_band([a, b], SpectralBand(0.5, 2.0))),
+        (_break_eigvalsh, lambda a, b: ol.custom_mean("root", np.sqrt)),
+    ],
+    ids=["mean", "unitalize", "loewner", "band", "custom-mean"],
+)
+def test_solver_failures_raise_eigen_convergence_error(setup, call, monkeypatch):
+    a, b = (ol.random_spd(3, SpectralBand(0.5, 2.0), rng=seed) for seed in (1, 2))
+    setup(monkeypatch)
+    with pytest.raises(EigenConvergenceError, match="did not converge"):
+        call(a, b)

@@ -63,11 +63,6 @@ class TestEig:
         root = ol.apply_scalar(a, np.sqrt)
         assert_allclose(root.data @ root.data, a.data, atol=1e-12)
 
-    def test_apply_scalar_domain_floor(self):
-        a = SymMatrix.diagonal([1.0, 1e-14])
-        with pytest.raises(SpectrumDomainError, match="domain floor"):
-            ol.apply_scalar(a, lambda t: 1.0 / np.sqrt(t), domain_min=ol.PD_FLOOR)
-
     def test_apply_scalar_nonfinite_output(self):
         a = SymMatrix.diagonal([1.0, -4.0])
         with pytest.raises(SpectrumDomainError, match="undefined") as info:
