@@ -236,8 +236,8 @@ def eig_sym(a: SymMatrix) -> EigenDecomposition:
 
 def _reassemble(w, q, f: Callable, undefined: str = "scalar function is undefined") -> np.ndarray:
     """``Q f(w) Q^T`` over a stack, not symmetrized.  An ``f(w)`` of another
-    shape, or not finite (then named ``undefined`` at an eigenvalue), raises
-    :class:`SpectrumDomainError`."""
+    shape, or one that is not finite, raises :class:`SpectrumDomainError`;
+    the latter reads ``"{undefined} at eigenvalue {w}"``."""
     with np.errstate(all="ignore"):
         fw = np.asarray(f(w), dtype=float)
     if fw.shape != w.shape:
