@@ -348,7 +348,6 @@ class TestCheckCommand:
         assert code == 0
         assert json.loads(out)["config"] == _config_dict(ol.StatementConfig("ando"))
 
-
     def test_exhausted_memory_is_one_line_error(self, capsys, monkeypatch):
         # the n = 30 ALM recursion of this check cannot be allocated; the
         # allocation failure is simulated, not provoked

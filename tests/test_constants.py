@@ -178,7 +178,7 @@ class TestYamazakiCoeff:
             ol.yamazaki_coeff(BAND_12, 1)
 
     def test_power_past_the_float_range_overflows(self):
-        # K(1, 2) = 9/8 and 9/8^6000 is about 1.5e306
+        # K(1, 2) = 9/8, and (9/8)^6000 is about 8.2e306
         assert 1e306 < ol.yamazaki_coeff(BAND_12, 12001) < np.inf
         with pytest.raises(OverflowError, match="not finite"):
             ol.yamazaki_coeff(BAND_12, 20000)
