@@ -92,7 +92,6 @@ from .statements import (
     StatementConfig,
     StatementInfo,
     TrialReport,
-    TrialViolation,
     UnitalityError,
     UnknownStatementError,
     Verdict,

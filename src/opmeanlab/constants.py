@@ -66,14 +66,28 @@ class MPConstants:
     band: SpectralBand
 
 
+def _in_float_range(name: str, band: SpectralBand, formula: Callable) -> float:
+    """``formula(M, m)`` in floats; ``OverflowError`` when that overflows, divides
+    by zero or gives a value that is not finite and positive."""
+    try:
+        value = formula(band.M, band.m)
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise OverflowError(f"{name} of band [{band.m!r}, {band.M!r}] is outside the float range")
+    return value
+
+
 def kantorovich(band: SpectralBand) -> float:
-    """Kantorovich constant ``(M + m)^2 / (4 M m)``; equals 1 iff m = M."""
-    return (band.M + band.m) ** 2 / (4.0 * band.M * band.m)
+    """Kantorovich constant ``(M + m)^2 / (4 M m)``; equals 1 iff m = M.
+    Past the float range it raises ``OverflowError``."""
+    return _in_float_range("Kantorovich constant", band, lambda M, m: (M + m) ** 2 / (4.0 * M * m))
 
 
 def polya_szego_coeff(band: SpectralBand) -> float:
-    """Square root of the Kantorovich constant, ``(M + m) / (2 sqrt(M m))``."""
-    return (band.M + band.m) / (2.0 * math.sqrt(band.M * band.m))
+    """Square root of the Kantorovich constant, ``(M + m) / (2 sqrt(M m))``.
+    Past the float range it raises ``OverflowError``."""
+    return _in_float_range("Polya-Szego coefficient", band, lambda M, m: (M + m) / (2.0 * math.sqrt(M * m)))
 
 
 def secant_coeffs(phi: Callable, a: float, b: float) -> tuple:
@@ -241,6 +255,8 @@ def yamazaki_coeff(band: SpectralBand, n: int) -> float:
     out = 1.0
     for _ in range(whole):
         out *= k
+        if out == math.inf:  # k >= 1: it stays infinite, so stop at the first overflow
+            break
     if rem:
         out *= math.sqrt(k)
     if not math.isfinite(out):

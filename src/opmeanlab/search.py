@@ -3,11 +3,10 @@
 ``falsify`` replays the trial generator with hypothesis enforcement turned
 off, keeps the worst violation it sees, and labels the witness with any
 hypotheses the configuration breaks, so a "counterexample" to a statement
-used outside its scope is reported as exactly that.  It runs on the trial
-engine of :mod:`opmeanlab.statements`: per-trial seeded draws, evaluated in
-fixed blocks.  ``refine`` runs a greedy random walk around a witness,
-clamping every candidate's spectrum back into the band, and only ever
-accepts strictly more negative gaps.
+used outside its scope is reported as exactly that.  It takes the worst
+:class:`Witness` of the block scan behind ``run_trials``.  ``refine`` runs a
+greedy random walk around a witness of either, clamping every candidate's
+spectrum back into the band, and only ever accepts strictly more negative gaps.
 
 The walk evaluates its steps in speculative windows: the candidates of the
 next few steps are all formed from the current incumbent and evaluated as
@@ -25,7 +24,7 @@ and error is bitwise the one the step-by-step walk (one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,31 +32,18 @@ from .statements import (
     _BLOCK,
     BandViolationError,
     StatementConfig,
+    Witness,
     _as_matrices,
     _input_stack,
+    _scan,
     check,
     get_statement,
     hypothesis_violations,
-    trial_blocks,
     unitality_violations,
 )
 from .symmat import SymMatrix, _apply_scalar, _first_out_of_band, _loewner, _symmetrize
 
 __all__ = ["Witness", "falsify", "refine", "revalidate"]
-
-
-@dataclass(frozen=True)
-class Witness:
-    """A violating input set for one statement configuration."""
-
-    config: StatementConfig
-    matrices: tuple
-    gap_min_eig: float
-    gap_det: float
-    seed: int
-    trial_index: int
-    band_checked: bool
-    hypothesis_violations: tuple
 
 
 def revalidate(witness: Witness):
@@ -79,11 +65,11 @@ def falsify(
 ) -> Witness | None:
     """Search ``budget`` random draws for a Loewner violation.
 
-    Draws follow the same per-trial seeding as the trial driver, so a found
-    witness can be replayed from its trial index; like the trial driver,
-    the search evaluates its draws in fixed blocks.  ``initial_matrices``
-    are evaluated first (by default with the band check skipped, matching
-    how published witnesses are stored); random draws are always in band.
+    Draws follow the same per-trial seeding as the trial driver and go
+    through its block scan, so a found witness can be replayed from its
+    trial index.  ``initial_matrices`` are evaluated first (by default with
+    the band check skipped, matching how published witnesses are stored);
+    random draws are always in band.
     Returns the witness with the most negative ``gap_min_eig`` (the earliest
     on ties), or None.
     """
@@ -92,32 +78,18 @@ def falsify(
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     labels = tuple(unitality_violations(cfg)) + tuple(hypothesis_violations(cfg))
-    best = None
-
-    def witness(mats, gap_min_eig, gap_det, index, band_checked):
-        return Witness(
-            config=cfg,
-            matrices=tuple(mats),
-            gap_min_eig=float(gap_min_eig),
-            gap_det=float(gap_det),
-            seed=seed,
-            trial_index=index,
-            band_checked=band_checked,
-            hypothesis_violations=labels,
-        )
-
-    start = 0
+    best, start = None, 0
     if initial_matrices is not None:
-        mats = [m if isinstance(m, SymMatrix) else SymMatrix(m) for m in initial_matrices]
+        mats = tuple(m if isinstance(m, SymMatrix) else SymMatrix(m) for m in initial_matrices)
         verdict = check(cfg, mats, skip_band_check=skip_band_check_initial, enforce_hypotheses=False)
         if not verdict.holds:
-            best = witness(mats, verdict.gap_min_eig, verdict.gap_det, -1, not skip_band_check_initial)
+            best = Witness(config=cfg, matrices=mats, gap_min_eig=verdict.gap_min_eig, gap_det=verdict.gap_det,
+                           seed=seed, trial_index=-1, band_checked=not skip_band_check_initial,
+                           hypothesis_violations=labels)
         start = 1
-    for first, x, verdict in trial_blocks(cfg, seed, start, budget):
-        gaps = np.where(verdict.holds, np.inf, verdict.gap_min_eig)
-        t = int(np.argmin(gaps))
-        if gaps[t] < (np.inf if best is None else best.gap_min_eig):
-            best = witness(_as_matrices(x[t].copy()), gaps[t], verdict.gap_det[t], first + t, True)
+    kept = _scan(cfg, seed, start, budget, labels)[2]
+    if kept and (best is None or kept[0].gap_min_eig < best.gap_min_eig):
+        best = kept[0]
     return best
 
 

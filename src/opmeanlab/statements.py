@@ -27,7 +27,8 @@ take ``(T, n, d, d)`` stacks of ``T`` trials' inputs and run each layer
 (map, mean, functional calculus, order check) once per block of up to
 ``_BLOCK`` trials, giving every trial the bits it gets alone.  A statement's
 constants are computed once per run.  :func:`check` runs the same builders
-on one trial's ``(n, d, d)`` inputs.
+on one trial's ``(n, d, d)`` inputs, and one scan keeps the worst violating
+trials as :class:`Witness` records for :func:`run_trials` and ``falsify``.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ __all__ = [
     "StatementConfig",
     "StatementInfo",
     "Verdict",
-    "TrialViolation",
+    "Witness",
     "TrialReport",
     "UnknownStatementError",
     "BandViolationError",
@@ -142,11 +143,17 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class TrialViolation:
-    trial_index: int
+class Witness:
+    """A violating input set for one statement configuration."""
+
+    config: StatementConfig
     matrices: tuple
     gap_min_eig: float
     gap_det: float
+    seed: int
+    trial_index: int
+    band_checked: bool
+    hypothesis_violations: tuple
 
 
 @dataclass(frozen=True)
@@ -158,6 +165,8 @@ class TrialReport:
     ``gap_min_eig``, the earlier trial first on ties, stored worst first.
     So when any trial violates, ``witnesses[0].gap_min_eig`` is
     ``worst_margin``, and a long run holds no more than ten witnesses.
+    Each is a :class:`Witness` (band-checked, no hypothesis labels), so
+    ``refine`` and ``revalidate`` take it as they take a ``falsify`` witness.
     """
 
     statement_id: str
@@ -670,6 +679,30 @@ def trial_blocks(cfg: StatementConfig, seed: int, start: int, stop: int):
         yield first, x, _loewner(*info.build(cfg, consts, x))
 
 
+def _scan(cfg: StatementConfig, seed: int, start: int, stop: int, labels: tuple) -> tuple:
+    """``(violations, worst, kept)`` of the seeded trials ``start .. stop - 1``:
+    the violating count, the smallest gap (``inf`` for none) and, worst first
+    and the earlier trial first on ties, the ``_KEPT_WITNESSES`` most negative
+    violations as :class:`Witness` records labeled ``labels``."""
+    violations, worst, kept = 0, np.inf, []
+    for first, x, verdict in trial_blocks(cfg, seed, start, stop):
+        worst = min(worst, verdict.gap_min_eig.min())
+        violating = np.flatnonzero(~verdict.holds)
+        violations += len(violating)
+        # the block's worst few, earlier trials first on ties
+        order = np.argsort(verdict.gap_min_eig[violating], kind="stable")
+        chosen = violating[order[:_KEPT_WITNESSES]]
+        kept += [
+            Witness(config=cfg, matrices=_as_matrices(mats), gap_min_eig=float(verdict.gap_min_eig[t]),
+                    gap_det=float(verdict.gap_det[t]), seed=seed, trial_index=first + int(t),
+                    band_checked=True, hypothesis_violations=labels)
+            for t, mats in zip(chosen, x[chosen])
+        ]
+        # a stable sort: on equal gaps the earlier kept trials stay first
+        kept = sorted(kept, key=attrgetter("gap_min_eig"))[:_KEPT_WITNESSES]
+    return violations, worst, kept
+
+
 def run_trials(cfg: StatementConfig, trials: int, seed: int) -> TrialReport:
     """Randomized verification: draw in-band matrices, evaluate, tally.
 
@@ -679,9 +712,8 @@ def run_trials(cfg: StatementConfig, trials: int, seed: int) -> TrialReport:
     Matrices are pinned to the band edges with probability one half each,
     which keeps the constants honest for roughly half the draws.  Each
     trial draws from its own seeded stream; evaluation runs in fixed
-    blocks of trials through :func:`trial_blocks`, and each block adds only
-    its worst violations to the witnesses kept (see :class:`TrialReport`),
-    so memory stays flat in the trial count.
+    blocks of trials, and only the worst violations are kept as witnesses
+    (see :class:`TrialReport`), so memory stays flat in the trial count.
     """
     if trials < 0:
         raise ValueError("trial count must be nonnegative")
@@ -691,27 +723,7 @@ def run_trials(cfg: StatementConfig, trials: int, seed: int) -> TrialReport:
     if bad_unital:
         raise UnitalityError("; ".join(bad_unital))
     hyp = hypothesis_violations(cfg)
-    violations = 0
-    kept = []
-    worst = np.inf
-    for first, x, verdict in () if hyp else trial_blocks(cfg, seed, 0, trials):
-        worst = min(worst, verdict.gap_min_eig.min())
-        violating = np.flatnonzero(~verdict.holds)
-        violations += len(violating)
-        # the block's worst few, earlier trials first on ties
-        order = np.argsort(verdict.gap_min_eig[violating], kind="stable")
-        chosen = violating[order[:_KEPT_WITNESSES]]
-        kept += [
-            TrialViolation(
-                trial_index=first + int(t),
-                matrices=_as_matrices(mats),
-                gap_min_eig=float(verdict.gap_min_eig[t]),
-                gap_det=float(verdict.gap_det[t]),
-            )
-            for t, mats in zip(chosen, x[chosen])
-        ]
-        # a stable sort: on equal gaps the earlier kept trials stay first
-        kept = sorted(kept, key=attrgetter("gap_min_eig"))[:_KEPT_WITNESSES]
+    violations, worst, kept = (0, np.inf, []) if hyp else _scan(cfg, seed, 0, trials, ())
     counted = 0 if hyp else trials
     return TrialReport(
         statement_id=cfg.statement_id,

@@ -298,12 +298,11 @@ def _loewner(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> OrderVer
     else:
         w = _eigh(b - a, vectors=False)
         tol = np.full(w.shape[:-1], float(tol))
-    return OrderVerdict(
-        holds=w[..., 0] >= -tol,
-        gap_min_eig=w[..., 0],
-        gap_det=np.prod(w, axis=-1),
-        tol_used=tol,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.prod(w, axis=-1)
+    if not np.isfinite(det).all():
+        raise OverflowError("gap determinant is not finite")
+    return OrderVerdict(holds=w[..., 0] >= -tol, gap_min_eig=w[..., 0], gap_det=det, tol_used=tol)
 
 
 def loewner_leq(a: SymMatrix, b: SymMatrix, tol: float | None = None) -> OrderVerdict:

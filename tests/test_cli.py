@@ -524,3 +524,30 @@ def test_overflow_is_one_error_line(command, warnings, tmp_path):
         text=True,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: matrix entries must be finite\n")
+
+
+@pytest.mark.parametrize("warnings", [[], ["-W", "error::RuntimeWarning"]], ids=["default", "warnings-as-errors"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # sqrt(M m) overflows, so the coefficient would be 0.0
+        ("check ps-1.1 --band 1e200:1e201 --seed 1",
+         "Polya-Szego coefficient of band [1e+200, 1e+201] is outside the float range"),
+        # 4 M m underflows to zero
+        ("check ps-1.1 --band 1e-200:1e-199 --seed 1",
+         "Polya-Szego coefficient of band [1e-200, 1e-199] is outside the float range"),
+        ("constants --band 1e-200:1e-199",
+         "Kantorovich constant of band [1e-200, 1e-199] is outside the float range"),
+        # the eigenvalues are finite, their product is not
+        ("check aahh --band 1e160:1e161 --seed 1 --format json", "gap determinant is not finite"),
+        ("constants --n-matrices 1000000000000", "yamazaki coefficient K^(999999999999/2) is not finite"),
+    ],
+)
+def test_value_past_the_float_range_is_one_error_line(argv, message, warnings):
+    proc = subprocess.run(
+        [sys.executable, *warnings, "-m", "opmeanlab.cli", *argv.split()],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: numeric overflow: {message}\n")

@@ -37,6 +37,26 @@ class TestKantorovich:
         assert_allclose(ol.polya_szego_coeff(BAND_12), 3.0 / (2.0 * math.sqrt(2.0)), rtol=1e-15)
 
 
+    @pytest.mark.parametrize("band", [(1.0, 2.0), (0.4, 3.0), (1e150, 1e151), (1e-150, 1e-149), (1e-100, 1e100)])
+    def test_finite_values_are_the_float_formulas(self, band):
+        m, M = band
+        b = SpectralBand(m, M)
+        assert ol.kantorovich(b) == (M + m) ** 2 / (4.0 * M * m)
+        assert ol.polya_szego_coeff(b) == (M + m) / (2.0 * math.sqrt(M * m))
+
+    @pytest.mark.parametrize(
+        "name, constant",
+        [("Kantorovich constant", ol.kantorovich), ("Polya-Szego coefficient", ol.polya_szego_coeff)],
+    )
+    @pytest.mark.parametrize("band", [(1e200, 1e201), (1e-200, 1e-199)])
+    def test_band_outside_the_float_range_overflows(self, name, constant, band):
+        # the float formulas overflow, divide by zero or return 0.0 here
+        m, M = band
+        with pytest.raises(OverflowError) as info:
+            constant(SpectralBand(m, M))
+        assert str(info.value) == f"{name} of band [{m!r}, {M!r}] is outside the float range"
+
+
 class TestSecant:
     def test_recovers_affine(self):
         mu, nu = ol.secant_coeffs(lambda t: 3.0 * t - 1.0, 0.5, 2.0)
@@ -182,6 +202,11 @@ class TestYamazakiCoeff:
         assert 1e306 < ol.yamazaki_coeff(BAND_12, 12001) < np.inf
         with pytest.raises(OverflowError, match="not finite"):
             ol.yamazaki_coeff(BAND_12, 20000)
+
+    def test_overflow_stops_at_the_first_infinite_product(self):
+        # (9/8)^k is infinite from k of about 6,000 on; the loop stops there
+        with pytest.raises(OverflowError, match="not finite"):
+            ol.yamazaki_coeff(BAND_12, 10**12)
 
 
 # The five bands of the criterion-5 grid, and the values mp_alpha and

@@ -98,6 +98,39 @@ class TestRefine:
             refine(w, steps=3, radius=radius, seed=0)
 
 
+class TestTrialWitnesses:
+    """``run_trials`` keeps the same witness records ``falsify`` returns."""
+
+    def test_trial_witness_fields(self):
+        rep = ol.run_trials(Q2SQ, trials=150, seed=17)
+        assert rep.witnesses
+        for w in rep.witnesses:
+            assert isinstance(w, Witness)
+            assert w.config is Q2SQ
+            assert w.seed == 17
+            assert w.band_checked is True
+            assert w.hypothesis_violations == ()
+
+    def test_refine_and_revalidate_take_a_trial_witness(self):
+        w = ol.run_trials(Q2SQ, trials=150, seed=17).witnesses[0]
+        verdict = revalidate(w)
+        assert not verdict.holds
+        assert (verdict.gap_min_eig, verdict.gap_det) == (w.gap_min_eig, w.gap_det)
+        better = refine(w, steps=60, radius=0.05, seed=1)
+        assert better.gap_min_eig <= w.gap_min_eig
+        assert better.config is Q2SQ
+        assert not revalidate(better).holds
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("budget", [150, 2 * statements._BLOCK + 50])
+    def test_falsify_is_the_worst_trial_witness(self, dim, budget):
+        cfg = dataclasses.replace(Q2SQ, dim=dim)
+        w = falsify(cfg, budget=budget, seed=17)
+        kept = ol.run_trials(cfg, trials=budget, seed=17).witnesses[0]
+        assert (w.trial_index, w.gap_min_eig, w.gap_det) == (kept.trial_index, kept.gap_min_eig, kept.gap_det)
+        assert [m.data.tobytes() for m in w.matrices] == [m.data.tobytes() for m in kept.matrices]
+
+
 def _reference_clamp(arr, band):
     sym = (arr + arr.T) / 2.0
     w, q = np.linalg.eigh(sym)

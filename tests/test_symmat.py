@@ -120,6 +120,13 @@ class TestLoewner:
         with pytest.raises(DimensionMismatchError):
             ol.loewner_leq(SymMatrix.identity(2), SymMatrix.identity(3))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_gap_determinant_overflows(self):
+        # both gap eigenvalues are finite, their product is not
+        b = SymMatrix.diagonal([1e160, 1e161])
+        with pytest.raises(OverflowError, match="^gap determinant is not finite$"):
+            ol.loewner_leq(SymMatrix.identity(2), b)
+
 
 def test_op_norm_is_largest_abs_eigenvalue():
     m = SymMatrix.diagonal([-3.0, 2.0])
