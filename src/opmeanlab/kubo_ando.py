@@ -6,9 +6,9 @@ normalized so that ``h(1) = 1``; the matrix value is
     ``A sigma B = A^(1/2) h(A^(-1/2) B A^(-1/2)) A^(1/2)``
 
 evaluated in the equal congruence form ``L h(L^-1 B L^-T) L^T`` with the
-Cholesky factor ``A = L L^T``: one factorization and one symmetric
-eigensolve per pair.  The geometric mean of ``2 x 2`` pairs needs no
-eigensolver:
+Cholesky factor ``A = L L^T`` by :mod:`opmeanlab.symmat`, which owns that
+kernel and the positive definite floor on ``A`` and on ``C``.  The
+geometric mean of ``2 x 2`` pairs needs no eigensolver:
 
     ``A # B = (beta A + alpha B) / sqrt(tr(adj(A) B) + 2 alpha beta)``
 
@@ -60,10 +60,10 @@ from .functions import _LOEWNER_TOL, _loewner_margin
 from .symmat import (
     PD_FLOOR,
     DimensionMismatchError,
-    NotPositiveDefiniteError,
     SymMatrix,
-    _eigh,
-    _reassemble,
+    _check_floor,
+    _congruence,
+    _floor_error,
 )
 
 __all__ = [
@@ -221,12 +221,6 @@ def representing_value(sigma: MeanDescriptor, t: float) -> float:
     return float(sigma.h(t))
 
 
-def _floor_error(low) -> NotPositiveDefiniteError:
-    return NotPositiveDefiniteError(
-        f"mean requires positive definite inputs; eigenvalue {low:.6e} at or below floor"
-    )
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _geometric_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """``A # B`` over stacks ``(..., 2, 2)`` with no eigensolver.
@@ -246,13 +240,13 @@ def _geometric_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     b00, b01, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 1]
     two_a01 = 2.0 * a01
     if (low := (a00 + a11 - np.hypot(a00 - a11, two_a01)).min() / 2.0) <= PD_FLOOR:
-        raise _floor_error(low)
+        raise _floor_error("A", low)
     det_a, det_b = a00 * a11 - a01 * a01, b00 * b11 - b01 * b01
     t = a00 * b11 + a11 * b00 - two_a01 * b01
     if not ((det_b > PD_FLOOR * t) & (t > 0.0)).all() and (
         low := ((t - np.sqrt(np.maximum(t * t - 4.0 * det_a * det_b, 0.0))) / (2.0 * det_a)).min()
     ) <= PD_FLOOR:
-        raise _floor_error(low)
+        raise _floor_error("A^-1/2 B A^-1/2", low)
     alpha, beta = np.sqrt(det_a), np.sqrt(det_b)
     s = np.sqrt(t + 2.0 * alpha * beta)
     if not np.isfinite(s).all():
@@ -264,34 +258,16 @@ def _binary_mean(h: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``A sigma B`` over stacks ``(..., d, d)`` of symmetric matrices; each
     pair gets the bits it gets alone.
 
-    With the Cholesky factor ``A = L L^T``, congruence invariance gives
-    ``A sigma B = L h(C) L^T`` for ``C = L^-1 B L^-T``: one factorization and
-    one ``eigh`` per pair.  The floors are checked on ``A`` and on ``C``.
-    ``tr(A^-1) = ||L^-1||_F^2`` bounds ``1 / lambda_min(A)`` from above, so
-    the exact smallest eigenvalue of ``A`` is computed only where the sum of
-    those norms over the stack reaches ``1 / PD_FLOOR``, or where the
-    factorization fails.  The geometric mean of ``2 x 2`` pairs takes the
-    closed form of :func:`_geometric_2x2`.
+    This only chooses the evaluation: the closed form of
+    :func:`_geometric_2x2` for the geometric mean of ``2 x 2`` pairs, and
+    otherwise :func:`opmeanlab.symmat._congruence`, the Cholesky congruence
+    ``L h(L^-1 B L^-T) L^T``, which also checks the floors on ``A`` and on
+    ``C = A^(-1/2) B A^(-1/2)``.
     """
     geometric = h is np.sqrt or (isinstance(h, RepresentingFunction) and h.kind == "geometric")
     if geometric and a.shape[-1] == 2 and (out := _geometric_2x2(a, b)) is not None:
         return out
-    try:
-        factor = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise _floor_error(_eigh(a, vectors=False)[..., 0].min()) from None
-    inv_factor = np.linalg.inv(factor)
-    if (
-        np.vdot(inv_factor, inv_factor) >= 1.0 / PD_FLOOR
-        and (low := _eigh(a, vectors=False)[..., 0].min()) <= PD_FLOOR
-    ):
-        raise _floor_error(low)
-    c = inv_factor @ b @ inv_factor.mT
-    wc, qc = _eigh((c + c.mT) / 2.0)
-    if (low := wc[0] if wc.ndim == 1 else wc[..., 0].min()) <= PD_FLOOR:
-        raise _floor_error(low)
-    out = factor @ _reassemble(wc, qc, h, "representing function undefined") @ factor.mT
-    return (out + out.mT) / 2.0
+    return _congruence(a, b, h, "representing function undefined")
 
 
 def mean(sigma: MeanDescriptor, a: SymMatrix, b: SymMatrix) -> SymMatrix:
@@ -465,6 +441,8 @@ def _alm(tuples: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     exact because each pair of a stack gets the bits it gets alone.
     """
     count, n, d = tuples.shape[:3]
+    if n == 1:
+        _check_floor(tuples, "A")
     if n <= 2:
         return tuples[:, 0] if n == 1 else _binary_mean(np.sqrt, tuples[:, 0], tuples[:, 1])
     if (
@@ -510,9 +488,10 @@ def alm_mean(
 ) -> SymMatrix:
     """Symmetrized multi-matrix geometric mean.
 
-    For two matrices this is the ordinary geometric mean.  For ``n >= 3``
-    each matrix is repeatedly replaced by the mean of the other ``n - 1``
-    until ``max_i ||A_i_new - A_i|| <= tol * (1 + ||A_i||)`` in Frobenius
+    One matrix above the positive definite floor is its own mean, and two
+    have the ordinary geometric mean.  For ``n >= 3`` each matrix is
+    repeatedly replaced by the mean of the other ``n - 1`` until
+    ``max_i ||A_i_new - A_i|| <= tol * (1 + ||A_i||)`` in Frobenius
     norm; the returned value is the average of the converged tuple.  The
     leave-one-out sub-tuples of a level are swept in lock-step as one stack,
     and each of them converges on its own, exactly as it would alone.

@@ -6,8 +6,8 @@ engine can apply it without asking what kind it is.  The catalog:
 identity, compression ``A -> V^T A V`` by an isometry, pinching to a block
 partition, normalized trace ``A -> (tr A / n) I``, convex combinations of
 maps, and the positive scaling ``A -> k A`` (the one deliberately
-non-unital entry).  ``unitalize`` turns any map with invertible image of
-the identity into a unital one by the two-sided correction
+non-unital entry).  ``unitalize`` turns any map with positive definite
+image of the identity into a unital one by the two-sided correction
 ``Psi(A) = Phi(I)^(-1/2) Phi(A) Phi(I)^(-1/2)``.
 """
 
@@ -19,14 +19,11 @@ from typing import Callable
 import numpy as np
 
 from .symmat import (
-    PD_FLOOR,
     DimensionMismatchError,
-    NotPositiveDefiniteError,
     SymMatrix,
     _as_generator,
-    _eigh,
+    _floored,
     _haar_frame,
-    _reassemble,
     _symmetrize,
 )
 
@@ -199,8 +196,9 @@ def unitalize(phi: MapDescriptor, dim: int | None = None) -> MapDescriptor:
 
     Identity and scaling maps unitalize to the identity exactly.  For other
     kinds the correction frame is computed from ``Phi(I)`` at dimension
-    ``dim`` (required when the map is dimension-agnostic); a singular
-    ``Phi(I)`` raises :class:`NotPositiveDefiniteError`.
+    ``dim`` (required when the map is dimension-agnostic); a ``Phi(I)``
+    whose smallest eigenvalue is at or below the positive definite floor
+    ``PD_FLOOR`` raises :class:`NotPositiveDefiniteError`.
     """
     if phi.kind == "identity":
         return phi
@@ -214,12 +212,7 @@ def unitalize(phi: MapDescriptor, dim: int | None = None) -> MapDescriptor:
             raise ValueError("dim is required to unitalize a dimension-agnostic map")
         d = dim
     image = apply_map(phi, SymMatrix.identity(d))
-    w, q = _eigh(image.data)
-    if w[0] <= PD_FLOOR:
-        raise NotPositiveDefiniteError(
-            "map image of the identity is singular; perturb the map before unitalizing"
-        )
-    frame = _symmetrize(_reassemble(w, q, lambda t: 1.0 / np.sqrt(t)))
+    frame = _symmetrize(_floored(image.data, lambda t: 1.0 / np.sqrt(t), "map image of the identity"))
     frame.setflags(write=False)
     # The correction frame was computed at a fixed dimension, so a sandwich
     # of a dimension-agnostic map is dimension-fixed.

@@ -63,6 +63,7 @@ from .symmat import (
     SpectralBand,
     SymMatrix,
     _apply_scalar,
+    _congruence,
     _first_out_of_band,
     _loewner,
     _symmetrize,
@@ -350,11 +351,8 @@ def _build_t210(cfg, k, x):
 def _build_add_reverse(cfg, k, x):
     a, b = _pair(x)
     lhs = _apply_scalar(_mean(ARITHMETIC, a, b), cfg.f)
-    # A # B + A^(1/2) |I - C| A^(1/2) / 2 with C = A^(-1/2) B A^(-1/2) is one
-    # spectral transform of C conjugated back.  The congruence form of the
-    # mean kernel holds for any spectral function, monotone or not, so the
-    # kernel evaluates it as it evaluates a mean.
-    corrected = _binary_mean(lambda t: np.sqrt(t) + 0.5 * np.abs(1.0 - t), a, b)
+    # A # B + A^(1/2) |I - C| A^(1/2) / 2 with C = A^(-1/2) B A^(-1/2)
+    corrected = _congruence(a, b, lambda t: np.sqrt(t) + 0.5 * np.abs(1.0 - t))
     return lhs, _apply_scalar(corrected, cfg.f)
 
 

@@ -5,8 +5,9 @@ checks) reduces to the functional calculus of real symmetric matrices:
 eigendecompose, transform the spectrum, reassemble.  This module owns the
 value types, the Loewner order check, spectral bands, and seeded random
 generation of positive definite matrices with a prescribed spectrum, and
-the primitives the other modules share: every symmetric eigensolve
-(``_eigh``), the reassembly ``Q f(w) Q^T`` and the Haar frame.
+the primitives the other modules share: every ``numpy.linalg`` call
+(``_eigh``, the Cholesky ``_congruence``, the Haar frame's QR), the
+reassembly ``Q f(w) Q^T`` and every check of the positive definite floor.
 
 The kernels behind the public functions work on stacks ``(..., d, d)``
 and give every matrix of a stack the bits it gets alone, so the trial
@@ -248,6 +249,48 @@ def _reassemble(w, q, f: Callable, undefined: str = "scalar function is undefine
     return (q * fw[..., None, :]) @ q.mT
 
 
+def _floor_error(operand: str, low) -> NotPositiveDefiniteError:
+    """The error of every floor check: ``operand`` has smallest eigenvalue ``low``."""
+    return NotPositiveDefiniteError(
+        f"{operand} has smallest eigenvalue {low:.6e}, at or below floor {PD_FLOOR:g}"
+    )
+
+
+def _check_floor(x: np.ndarray, operand: str) -> None:
+    """Raise :func:`_floor_error` if a stack's smallest eigenvalue is at or below ``PD_FLOOR``."""
+    if (low := _eigh(x, vectors=False)[..., 0].min()) <= PD_FLOOR:
+        raise _floor_error(operand, low)
+
+
+def _floored(x, f: Callable, operand: str, undefined: str = "scalar function is undefined") -> np.ndarray:
+    """``Q f(w) Q^T`` of ``x = Q diag(w) Q^T`` over a stack, not symmetrized,
+    after the floor check of :func:`_check_floor` on ``w``."""
+    w, q = _eigh(x)
+    if (low := w[0] if w.ndim == 1 else w[..., 0].min()) <= PD_FLOOR:
+        raise _floor_error(operand, low)
+    return _reassemble(w, q, f, undefined)
+
+
+def _congruence(a, b, f: Callable, undefined: str = "scalar function is undefined") -> np.ndarray:
+    """``A^(1/2) f(C) A^(1/2)``, ``C = A^(-1/2) B A^(-1/2)``, over stacks, as
+    ``L f(L^-1 B L^-T) L^T`` for the Cholesky factor ``A = L L^T`` (congruence
+    invariance, any ``f``); each pair gets the bits it gets alone.  Floors on
+    ``A`` and ``C``: ``lambda_min(A)`` is computed only where the factorization
+    fails or ``||L^-1||_F^2 = tr(A^-1) >= 1 / lambda_min(A)``, summed over the
+    stack, reaches ``1 / PD_FLOOR``.  ``C`` and the result are symmetrized
+    without :func:`_symmetrize`'s finite check."""
+    try:
+        factor = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise _floor_error("A", _eigh(a, vectors=False)[..., 0].min()) from None
+    inv_factor = np.linalg.inv(factor)
+    if np.vdot(inv_factor, inv_factor) >= 1.0 / PD_FLOOR:
+        _check_floor(a, "A")
+    c = inv_factor @ b @ inv_factor.mT
+    out = factor @ _floored((c + c.mT) / 2.0, f, "A^-1/2 B A^-1/2", undefined) @ factor.mT
+    return (out + out.mT) / 2.0
+
+
 def _apply_scalar(x: np.ndarray, f: Callable) -> np.ndarray:
     """:func:`apply_scalar` over a stack ``(..., d, d)``, symmetrized."""
     return _symmetrize(_reassemble(*_eigh(x), f))
@@ -295,6 +338,8 @@ def _loewner(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> OrderVer
         norm_a = np.maximum(np.abs(wa[..., 0]), np.abs(wa[..., -1]))
         norm_b = np.maximum(np.abs(wb[..., 0]), np.abs(wb[..., -1]))
         tol = 1e-9 * (1.0 + np.maximum(norm_a, norm_b))
+    elif not tol >= 0.0:
+        raise ValueError(f"tolerance must be a nonnegative number, got {tol!r}")
     else:
         w = _eigh(b - a, vectors=False)
         tol = np.full(w.shape[:-1], float(tol))

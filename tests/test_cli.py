@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -551,3 +552,15 @@ def test_value_past_the_float_range_is_one_error_line(argv, message, warnings):
         timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: numeric overflow: {message}\n")
+
+
+@pytest.mark.parametrize("warnings", [[], ["-W", "error::RuntimeWarning"]], ids=["default", "warnings-as-errors"])
+def test_floor_error_names_operand_and_floor(warnings):
+    # both draws lie in the band; C = A^(-1/2) B A^(-1/2) has eigenvalues near m / M
+    proc = subprocess.run(
+        [sys.executable, *warnings, "-m", "opmeanlab.cli", "check", "ando", "--band", "1:1e14", "--seed", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert re.fullmatch(r"error: A\^-1/2 B A\^-1/2 has smallest eigenvalue \S+, at or below floor 1e-13\n", proc.stderr)

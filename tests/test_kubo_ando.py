@@ -340,6 +340,16 @@ class TestAlm:
         a, _ = spd_pair(13)
         assert_allclose(ol.alm_mean([a]).data, a.data)
 
+    def test_single_matrix_is_returned_bitwise(self):
+        a, _ = spd_pair(13)
+        assert ol.alm_mean([a]).data.tobytes() == a.data.tobytes()
+
+    def test_single_matrix_below_floor_raises(self):
+        # as the two-matrix mean does; the single matrix used to come back indefinite
+        message = r"^A has smallest eigenvalue -1.000000e\+00, at or below floor 1e-13$"
+        with pytest.raises(ol.NotPositiveDefiniteError, match=message):
+            ol.alm_mean([SymMatrix([[-1.0, 0.0], [0.0, 2.0]])])
+
     def test_iteration_cap(self):
         diagonal = [
             SymMatrix.diagonal([1.0, 8.0]),

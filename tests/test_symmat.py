@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 
 import opmeanlab as ol
 from opmeanlab import symmat
+from opmeanlab.kubo_ando import _alm, _binary_mean
 from opmeanlab import (
     DimensionMismatchError,
     NotPositiveDefiniteError,
@@ -126,6 +129,15 @@ class TestLoewner:
         b = SymMatrix.diagonal([1e160, 1e161])
         with pytest.raises(OverflowError, match="^gap determinant is not finite$"):
             ol.loewner_leq(SymMatrix.identity(2), b)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, -np.inf])
+    def test_tolerance_must_be_nonnegative(self, tol):
+        with pytest.raises(ValueError, match="^tolerance must be a nonnegative number"):
+            ol.loewner_leq(SymMatrix.identity(2), SymMatrix.identity(2), tol=tol)
+
+    def test_infinite_tolerance_is_allowed(self):
+        v = ol.loewner_leq(SymMatrix.diagonal([2.0, 1.0]), SymMatrix.identity(2), tol=np.inf)
+        assert v.holds and v.tol_used == np.inf
 
 
 def test_op_norm_is_largest_abs_eigenvalue():
@@ -281,3 +293,68 @@ def test_eig_reconstructs_arbitrary_symmetric(entries):
     dec = ol.eig_sym(m)
     rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
     assert_allclose(rebuilt, m.data, atol=1e-10)
+
+
+_C = "A^-1/2 B A^-1/2"
+_IMAGE = "map image of the identity"
+
+
+def _put(x, stack):
+    """``x``, or with ``stack`` the last of a stack behind three positive
+    definite matrices of its size."""
+    if not stack:
+        return x
+    rng = np.random.default_rng(5)
+    good = [ol.random_spd(x.shape[-1], SpectralBand(0.5, 2.0), rng=rng).data for _ in range(3)]
+    return np.stack(good + [x])
+
+
+def _thin_c(dim):
+    """A positive definite pair whose ``A^(-1/2) B A^(-1/2)`` is ``diag(1e-14, 1, ...)``."""
+    a = ol.random_spd(dim, SpectralBand(0.5, 2.0), rng=np.random.default_rng(dim)).data
+    w, q = np.linalg.eigh(a)
+    half = (q * np.sqrt(w)) @ q.T
+    return a, half @ np.diag([1e-14] + [1.0] * (dim - 1)) @ half
+
+
+def _mean_site(h, a, b):
+    return lambda stack: _binary_mean(h, _put(a, stack), _put(b, stack))
+
+
+def _unit_image_site(stack):
+    frame = np.diag([1.0, 0.0])
+    if stack:
+        # the floored calculus that unitalize runs, over a stack of images
+        return symmat._floored(_put(frame, stack), lambda t: 1.0 / np.sqrt(t), _IMAGE)
+    broken = ol.MapDescriptor("sandwich", "unitalized(identity)", 2, 2, lambda x: frame @ x @ frame)
+    return ol.unitalize(broken, dim=2)
+
+
+def _alm_one_site(stack):
+    a = np.diag([-1.0, 2.0])
+    if stack:
+        return _alm(_put(a, stack)[:, None], 1e-12, 1000)
+    return ol.alm_mean([SymMatrix(a)])
+
+
+#: Every check of the positive definite floor: (operand, call(stack)).  The
+#: geometric mean of 2 x 2 pairs takes the closed form, the harmonic mean
+#: the Cholesky congruence.
+FLOOR_SITES = {
+    "closed-form-A": ("A", _mean_site(np.sqrt, np.diag([1.0, 1e-14]), np.eye(2))),
+    "closed-form-C": (_C, _mean_site(np.sqrt, *_thin_c(2))),
+    "cholesky-failure-A": ("A", _mean_site(ol.HARMONIC.h, np.diag([1.0, -0.5, -0.5]), np.eye(3))),
+    "inverse-bound-A": ("A", _mean_site(ol.HARMONIC.h, np.diag([1.0, 1e-14, 1e-14]), np.eye(3))),
+    "cholesky-C": (_C, _mean_site(ol.HARMONIC.h, *_thin_c(3))),
+    "unitalize-image": (_IMAGE, _unit_image_site),
+    "alm-one-matrix": ("A", _alm_one_site),
+}
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["one", "stack"])
+@pytest.mark.parametrize("site", list(FLOOR_SITES))
+def test_floor_error_names_operand_and_floor(site, stack):
+    operand, call = FLOOR_SITES[site]
+    message = rf"^{re.escape(operand)} has smallest eigenvalue \S+, at or below floor 1e-13$"
+    with pytest.raises(NotPositiveDefiniteError, match=message):
+        call(stack)
