@@ -198,7 +198,7 @@ def unitalize(phi: MapDescriptor, dim: int | None = None) -> MapDescriptor:
     kinds the correction frame is computed from ``Phi(I)`` at dimension
     ``dim`` (required when the map is dimension-agnostic); a ``Phi(I)``
     whose smallest eigenvalue is at or below the positive definite floor
-    ``PD_FLOOR`` raises :class:`NotPositiveDefiniteError`.
+    1e-13 raises :class:`NotPositiveDefiniteError`.
     """
     if phi.kind == "identity":
         return phi
