@@ -156,7 +156,7 @@ def scale(k: float) -> MapDescriptor:
 
 def _apply_map(phi: MapDescriptor, x: np.ndarray) -> np.ndarray:
     """:func:`apply_map` over a stack ``(..., d, d)``, each image symmetrized
-    as :class:`SymMatrix` stores it."""
+    as :class:`SymMatrix` stores it; an image that overflows raises one error."""
     d = x.shape[-1]
     if phi.input_dim is not None and phi.input_dim != d:
         raise DimensionMismatchError(
@@ -164,7 +164,8 @@ def _apply_map(phi: MapDescriptor, x: np.ndarray) -> np.ndarray:
         )
     if phi.kind == "identity":
         return x
-    return _symmetrize(phi.action(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _symmetrize(phi.action(x))
 
 
 def apply_map(phi: MapDescriptor, a: SymMatrix) -> SymMatrix:

@@ -77,7 +77,7 @@ def falsify(
         raise ValueError("budget must be nonnegative")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    labels = tuple(unitality_violations(cfg)) + tuple(hypothesis_violations(cfg))
+    labels = unitality_violations(cfg) + hypothesis_violations(cfg)
     best, start = None, 0
     if initial_matrices is not None:
         mats = tuple(m if isinstance(m, SymMatrix) else SymMatrix(m) for m in initial_matrices)

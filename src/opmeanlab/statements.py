@@ -61,6 +61,7 @@ from .kubo_ando import (
 from .linmaps import MapDescriptor, _apply_map, identity_map, is_unital
 from .symmat import (
     SpectralBand,
+    SpectrumDomainError,
     SymMatrix,
     _apply_scalar,
     _congruence,
@@ -183,25 +184,28 @@ class TrialReport:
 
 @dataclass(frozen=True)
 class StatementInfo:
-    """Catalog entry: identifier, short description, input shape, builder,
-    hypotheses.
+    """Catalog entry: a statement's formula, input shape and conditions.
 
     ``constants(cfg, n)`` gives the constants a run with ``n`` inputs per
     trial uses (and reports); ``build(cfg, constants, x)`` maps the inputs
     ``x`` of shape ``(..., n, d, d)`` (any leading trial axes) to the
-    ``(..., e, e)`` left and right sides.  ``hypotheses`` holds ``(label,
-    holds)`` pairs: ``holds(cfg)`` probes one condition under which the
-    statement is a theorem, and ``label`` names its violation.
+    ``(..., e, e)`` left and right sides.  The statement is a theorem when
+    the maps in the ``unital`` roles (``"phi"``, ``"psi"``) are unital and
+    each ``(label, holds)`` pair of ``hypotheses`` holds: ``holds(cfg)``
+    probes one condition and ``label`` names its violation.
     """
 
     statement_id: str
     summary: str
-    multi: bool
-    maps_used: tuple
-    requires_unital: bool
     constants: Callable
     build: Callable
+    multi: bool = False
+    unital: tuple = ()
     hypotheses: tuple = ()
+
+    @property
+    def requires_unital(self) -> bool:
+        return bool(self.unital)
 
 
 # Stack layers.  Each mirrors one SymMatrix-valued step of a statement's
@@ -223,9 +227,10 @@ def _pair(x):
 
 
 def _favg(x):
-    """Average of the ``n`` inputs of each trial."""
+    """Average of the ``n`` inputs of each trial; a sum that overflows raises one error."""
     n = x.shape[-3]
-    return _symmetrize(sum(x[..., i, :, :] for i in range(n)) / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _symmetrize(sum(x[..., i, :, :] for i in range(n)) / n)
 
 
 def _geo_mean(x):
@@ -251,11 +256,6 @@ def _calculus(x, fn, p):
     return _apply_scalar(x, (lambda t: t**p) if fn is None else (lambda t: fn(t) ** p))
 
 
-def _require_positive(value: float, name: str):
-    if not 0.0 < value < np.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
 def _require_nonnegative(value: float, name: str):
     if not 0.0 <= value < np.inf:
         raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
@@ -272,18 +272,28 @@ def _kantorovich(cfg, n):
 
 
 def _two_function_scalar(cfg, n):
-    return float(cfg.f(cfg.band.M)) * float(cfg.g(1.0 / cfg.band.m))
+    # f or g not finite at its band edge, which the draws reach, fails as the calculus would
+    m, M = cfg.band.m, cfg.band.M
+    with np.errstate(over="ignore", invalid="ignore"):
+        fm, gm = float(cfg.f(M)), float(cfg.g(1.0 / m))
+    if not np.isfinite([fm, gm]).all():
+        raise SpectrumDomainError(f"f(M) g(1/m) of band [{m!r}, {M!r}] is undefined: f(M) = {fm!r}, g(1/m) = {gm!r}")
+    return _const._in_float_range("constant f(M) g(1/m)", cfg.band, lambda M, m: fm * gm)
 
 
 def _c23_scalar(cfg, n):
-    _require_positive(cfg.p, "exponent p")
-    return _two_function_scalar(cfg, n) ** cfg.p
+    if not 0.0 < cfg.p < np.inf:
+        raise ValueError(f"exponent p must be positive and finite, got {cfg.p!r}")
+    k = _two_function_scalar(cfg, n)
+    return _const._in_float_range("constant (f(M) g(1/m))^p", cfg.band, lambda M, m: k**cfg.p)
 
 
 def _c27_scalar(cfg, n):
     _require_nonnegative(cfg.p, "exponent p")
     _require_nonnegative(cfg.q, "exponent q")
-    return cfg.band.M**cfg.p * cfg.band.m ** (-cfg.q)
+    # each factor past the float range raises; an infinite product is refused with the right side
+    k = _const._in_float_range("factor M^p", cfg.band, lambda M, m: M**cfg.p)
+    return k * _const._in_float_range("factor m^(-q)", cfg.band, lambda M, m: m ** (-cfg.q))
 
 
 # Builders: (cfg, constants, x) -> (lhs, rhs) for inputs x of shape (..., n, d, d).
@@ -372,19 +382,9 @@ def _between_harmonic_arithmetic(role):
 _CATALOG: dict = {}
 
 
-def _register(
-    statement_id, summary, constants, build, multi=False, maps_used=(), requires_unital=False, hypotheses=()
-):
-    _CATALOG[statement_id] = StatementInfo(
-        statement_id=statement_id,
-        summary=summary,
-        multi=multi,
-        maps_used=tuple(maps_used),
-        requires_unital=requires_unital,
-        constants=constants,
-        build=build,
-        hypotheses=tuple(hypotheses),
-    )
+def _register(*args, **kwargs):
+    info = StatementInfo(*args, **kwargs)
+    _CATALOG[info.statement_id] = info
 
 
 _register(
@@ -392,14 +392,12 @@ _register(
     "positive maps are subadditive across operator means: Phi(A s B) <= Phi(A) s Phi(B)",
     _no_constants,
     _two_sided(("mean", "phi", "sigma", None, None), ("images", "phi", "sigma", None, None), factor=None),
-    maps_used=("phi",),
 )
 _register(
     "ps-1.1",
     "geometric-mean reverse: Phi(A) # Phi(B) <= ((M+m)/(2 sqrt(Mm))) Phi(A # B)",
     lambda cfg, n: _const.polya_szego_coeff(cfg.band),
     _two_sided(("images", "phi", GEOMETRIC, None, None), ("mean", "phi", GEOMETRIC, None, None)),
-    maps_used=("phi",),
 )
 _CORE_WORDS = {"images": "mean of images", "mean": "image of mean"}
 for _letter, _left, _right in (
@@ -413,16 +411,14 @@ for _letter, _left, _right in (
         f"two-function reverse f({_CORE_WORDS[_left]}) <= f(M) g(1/m) g({_CORE_WORDS[_right]})",
         _two_function_scalar,
         _two_sided((_left, "phi", "sigma", "f", None), (_right, "psi", "tau", "g", None)),
-        maps_used=("phi", "psi"),
-        requires_unital=True,
+        unital=("phi", "psi"),
     )
     _register(
         f"c23-{_letter}",
         "p-th power variant of the two-function reverse",
         _c23_scalar,
         _two_sided((_left, "phi", "sigma", "f", "p"), (_right, "psi", "tau", "g", "p")),
-        maps_used=("phi", "psi"),
-        requires_unital=True,
+        unital=("phi", "psi"),
     )
 _register(
     "c-multi",
@@ -430,8 +426,7 @@ _register(
     _two_function_scalar,
     _multi(("phi", "f"), ("psi", "g")),
     multi=True,
-    maps_used=("phi", "psi"),
-    requires_unital=True,
+    unital=("phi", "psi"),
     hypotheses=(_operator_monotone("g"),),
 )
 _register(
@@ -453,24 +448,21 @@ _register(
     "power-exponent reverse (Phi(A) # Phi(B))^p <= M^p m^(-q) (Psi(A # B))^q",
     _c27_scalar,
     _two_sided(("images", "phi", GEOMETRIC, None, "p"), ("mean", "psi", GEOMETRIC, None, "q")),
-    maps_used=("phi", "psi"),
-    requires_unital=True,
+    unital=("phi", "psi"),
 )
 _register(
     "mond2",
     "calibrated reverse Phi(A) s Phi(B) <= alpha Phi(A s B)",
     lambda cfg, n: _const.mp_alpha(cfg.sigma.h, cfg.band),
     _two_sided(("images", "phi", "sigma", None, None), ("mean", "phi", "sigma", None, None)),
-    maps_used=("phi",),
-    requires_unital=True,
+    unital=("phi",),
 )
 _register(
     "mp-gamma",
     "two-function calibrated reverse f(Phi(A) s Phi(B)) <= gamma g(Phi(A s B))",
     lambda cfg, n: _const.mp_gamma(cfg.f, cfg.g, cfg.sigma.h, cfg.band),
     _two_sided(("images", "phi", "sigma", "f", None), ("mean", "phi", "sigma", "g", None), lambda k: k.gamma),
-    maps_used=("phi",),
-    requires_unital=True,
+    unital=("phi",),
     hypotheses=(
         ("g is not increasing on the band", lambda cfg: increasing_on(cfg.g, cfg.band.m, cfg.band.M)),
         ("g is not concave on the band", lambda cfg: midpoint_concave(cfg.g, cfg.band.m, cfg.band.M)),
@@ -481,8 +473,7 @@ _register(
     "arithmetic mean of images vs K times image of an intermediate mean",
     _kantorovich,
     _two_sided(("images", "phi", ARITHMETIC, None, None), ("mean", "phi", "sigma", None, None)),
-    maps_used=("phi",),
-    requires_unital=True,
+    unital=("phi",),
     hypotheses=(_between_harmonic_arithmetic("sigma"),),
 )
 _register(
@@ -490,8 +481,7 @@ _register(
     "f-image means: f(Phi(A)) t f(Phi(B)) <= K f(Phi(A s B))",
     _kantorovich,
     _build_t210,
-    maps_used=("phi",),
-    requires_unital=True,
+    unital=("phi",),
     hypotheses=(
         _operator_monotone("f"),
         _between_harmonic_arithmetic("sigma"),
@@ -554,15 +544,11 @@ def get_statement(statement_id: str) -> StatementInfo:
 
 def unitality_violations(cfg: StatementConfig) -> tuple:
     """Labels for non-unital maps in roles that require unitality."""
-    info = get_statement(cfg.statement_id)
-    if not info.requires_unital:
-        return ()
-    labels = []
-    for role in info.maps_used:
-        the_map = getattr(cfg, role)
-        if not is_unital(the_map, dim=cfg.dim):
-            labels.append(f"{role} ({the_map.describe()}) is not unital")
-    return tuple(labels)
+    return tuple(
+        f"{role} ({getattr(cfg, role).describe()}) is not unital"
+        for role in get_statement(cfg.statement_id).unital
+        if not is_unital(getattr(cfg, role), dim=cfg.dim)
+    )
 
 
 def hypothesis_violations(cfg: StatementConfig) -> tuple:
@@ -573,6 +559,11 @@ def hypothesis_violations(cfg: StatementConfig) -> tuple:
     advertised scope.  Checks are deterministic grid probes, not proofs.
     """
     return tuple(label for label, holds in get_statement(cfg.statement_id).hypotheses if not holds(cfg))
+
+
+def _require_unital(cfg: StatementConfig):
+    if bad := unitality_violations(cfg):
+        raise UnitalityError("; ".join(bad))
 
 
 def _require_count(info: StatementInfo, n: int):
@@ -587,10 +578,8 @@ def _input_stack(info: StatementInfo, mats: Sequence[SymMatrix]) -> np.ndarray:
     """The ``(n, d, d)`` stack of one trial's inputs ``mats``, after checking
     their count for the statement ``info`` and that they share a dimension."""
     _require_count(info, len(mats))
-    dim = mats[0].dim
-    for m in mats[1:]:
-        if m.dim != dim:
-            raise ValueError("all input matrices must share one dimension")
+    if len({m.dim for m in mats}) > 1:
+        raise ValueError("all input matrices must share one dimension")
     return np.array([m.data for m in mats])
 
 
@@ -625,9 +614,7 @@ def check(
     if not skip_band_check:
         _require_in_band(x[None], cfg.band)
     if enforce_hypotheses:
-        bad = unitality_violations(cfg)
-        if bad:
-            raise UnitalityError("; ".join(bad))
+        _require_unital(cfg)
     consts = info.constants(cfg, len(x))
     lhs, rhs = info.build(cfg, consts, x)
     verdict = _loewner(lhs, rhs)
@@ -717,9 +704,7 @@ def run_trials(cfg: StatementConfig, trials: int, seed: int) -> TrialReport:
         raise ValueError("trial count must be nonnegative")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    bad_unital = unitality_violations(cfg)
-    if bad_unital:
-        raise UnitalityError("; ".join(bad_unital))
+    _require_unital(cfg)
     hyp = hypothesis_violations(cfg)
     violations, worst, kept = (0, np.inf, []) if hyp else _scan(cfg, seed, 0, trials, ())
     counted = 0 if hyp else trials

@@ -88,8 +88,7 @@ class SymMatrix:
             raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise DimensionMismatchError("dimension must be at least 1")
-        with np.errstate(over="ignore", invalid="ignore"):
-            data = _symmetrize(a)
+        data = _symmetrize(a)
         data.setflags(write=False)
         self.data = data
 
@@ -201,9 +200,10 @@ def _symmetrize(x: np.ndarray) -> np.ndarray:
 
     This is how :class:`SymMatrix` stores its entries; on a matrix that is
     already symmetric it changes no bit.  The check is on the output, so a
-    sum that overflows raises like a non-finite input does.
+    sum that overflows raises like a non-finite input does, without a warning.
     """
-    s = (x + x.mT) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = (x + x.mT) / 2.0
     if not np.isfinite(s).all():
         raise ValueError("matrix entries must be finite")
     return s
@@ -602,5 +602,4 @@ def _haar_frame(g: np.ndarray) -> np.ndarray:
 def _conjugate_spectra(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     """``Q diag(w) Q^T`` over stacks, ``Q`` the Haar frame of ``g``.  Entries
     that overflow (spectra near the float maximum) raise one error, not a warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _symmetrize(_reassemble(w, _haar_frame(g), lambda t: t))
+    return _symmetrize(_reassemble(w, _haar_frame(g), lambda t: t))

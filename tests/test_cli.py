@@ -501,7 +501,21 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["kantorovich"] == 1.125
 
 
+_OVERFLOWS = {
+    # the scale map's k x overflows
+    "map": "check ando --phi scale:1e308 --seed 1",
+    # the unitality probe's image 1e308 I overflows when symmetrized
+    "unital-probe": "check t22-a --phi scale:1e308 --seed 1",
+    # A^154 on the band 1:100 overflows when the spectral calculus symmetrizes it
+    "calculus": "check q2 --band 1:100 --p 154 --seed 1",
+    # the sum of four inputs near 5e307 overflows before it is averaged
+    "average": "check ragm --band 5e307:5.5e307 --n-matrices 4 --seed 1",
+}
+
+
 def _overflow_argv(command, tmp_path):
+    if command in _OVERFLOWS:
+        return _OVERFLOWS[command].split()
     if command == "draw":
         # seeded draws near the float maximum overflow when symmetrized
         return ["check", "ando", "--band", "1e308:1.5e308", "--seed", "1"]
@@ -517,7 +531,7 @@ def _overflow_argv(command, tmp_path):
 
 
 @pytest.mark.parametrize("warnings", [[], ["-W", "error::RuntimeWarning"]], ids=["default", "warnings-as-errors"])
-@pytest.mark.parametrize("command", ["check", "mean", "draw"])
+@pytest.mark.parametrize("command", ["check", "mean", "draw", *_OVERFLOWS])
 def test_overflow_is_one_error_line(command, warnings, tmp_path):
     proc = subprocess.run(
         [sys.executable, *warnings, "-m", "opmeanlab.cli", *_overflow_argv(command, tmp_path)],
@@ -542,6 +556,14 @@ def test_overflow_is_one_error_line(command, warnings, tmp_path):
         # the eigenvalues are finite, their product is not
         ("check aahh --band 1e160:1e161 --seed 1 --format json", "gap determinant is not finite"),
         ("constants --n-matrices 1000000000000", "yamazaki coefficient K^(999999999999/2) is not finite"),
+        # 2^2000 raises in Python's float power
+        ("check c23-b --band 1:2 --p 2000 --seed 1",
+         "constant (f(M) g(1/m))^p of band [1.0, 2.0] is outside the float range"),
+        ("check c27 --band 1:2 --p 1100 --q 0 --seed 1",
+         "factor M^p of band [1.0, 2.0] is outside the float range"),
+        # f(M) = 1e200 and g(1/m) = 1e200 are finite, their product is not
+        ("check t22-a --band 1e-200:1e200 --seed 1",
+         "constant f(M) g(1/m) of band [1e-200, 1e+200] is outside the float range"),
     ],
 )
 def test_value_past_the_float_range_is_one_error_line(argv, message, warnings):
@@ -552,6 +574,26 @@ def test_value_past_the_float_range_is_one_error_line(argv, message, warnings):
         timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: numeric overflow: {message}\n")
+
+
+@pytest.mark.parametrize("warnings", [[], ["-W", "error::RuntimeWarning"]], ids=["default", "warnings-as-errors"])
+@pytest.mark.parametrize(
+    "argv, band",
+    [
+        # f(M) = 40^200 and 20^300 overflow in numpy's power
+        ("check c-multi --f power:200 --band 1:40 --seed 1", "[1.0, 40.0]"),
+        ("check t22-a --f power:300 --band 1:20 --seed 2", "[1.0, 20.0]"),
+    ],
+)
+def test_undefined_constant_is_one_error_line(argv, band, warnings):
+    proc = subprocess.run(
+        [sys.executable, *warnings, "-m", "opmeanlab.cli", *argv.split()],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    message = f"f(M) g(1/m) of band {band} is undefined: f(M) = inf, g(1/m) = 1.0"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("warnings", [[], ["-W", "error::RuntimeWarning"]], ids=["default", "warnings-as-errors"])

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 import opmeanlab as ol
 from opmeanlab import SpectralBand, SymMatrix
 from opmeanlab import kubo_ando
-from opmeanlab.kubo_ando import _FLOAT_LEVEL_MAX, _alm, _alm3_floats, _binary_mean
+from opmeanlab.kubo_ando import _FLOAT_LEVEL_MAX, _alm, _alm3_floats, _binary_mean, _geometric_floats
 
 
 def spd_pair(seed, band=SpectralBand(0.5, 2.0), dim=3):
@@ -538,6 +538,26 @@ class TestFloatLevel:
 
     def test_overflow_parity(self):
         tuples = 1e160 * np.stack([spd_tuple(31, 3, 2), FAST])
+        assert _alm3_floats(tuples, 1e-12, 1000) is None
+        floats, stacked = _raised(tuples)
+        assert floats == stacked
+        assert floats[0] is OverflowError
+
+    def test_infinite_closed_form_scale_parity(self):
+        # A = B = 0.8e154 I: s = sqrt(tr + 2 sqrt(det A det B)) is inf in floats only
+        a = [0.8e154, 0.0, 0.0, 0.8e154]
+        assert _geometric_floats(a, a) is None
+        tuples = np.stack([np.diag([0.8e154, 0.8e154])] * 3)[None]
+        assert _alm3_floats(tuples, 1e-12, 1000) is None
+        floats, stacked = _both_paths(tuples)
+        assert floats.tobytes() == stacked.tobytes()
+
+    def test_infinite_stopping_norm_parity(self):
+        # entries near 0.9e154: the float-side step and size norms overflow
+        b = np.array([[0.9e154, 0.89e154], [0.89e154, 0.9e154]])
+        corner, off = b.copy(), b * [[1.0, 1.001], [1.001, 1.0]]
+        corner[0, 0] *= 1.001
+        tuples = np.stack([b, corner, off])[None]
         assert _alm3_floats(tuples, 1e-12, 1000) is None
         floats, stacked = _raised(tuples)
         assert floats == stacked

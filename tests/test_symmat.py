@@ -73,6 +73,11 @@ class TestEig:
         # a plain float, not a numpy scalar repr
         assert str(info.value) == "scalar function is undefined at eigenvalue -4.0"
 
+    def test_apply_scalar_must_map_elementwise(self):
+        total = ol.ScalarFunction("sum", lambda t: t.sum())
+        with pytest.raises(SpectrumDomainError, match="^scalar function must map eigenvalues elementwise$"):
+            ol.apply_scalar(SymMatrix.diagonal([1.0, 2.0]), total)
+
 
 class TestCongruence:
     def test_permutation(self):
