@@ -261,8 +261,8 @@ def cmd_constants(args) -> int:
     ]
     if args.sigma:
         sigma = parse_mean(args.sigma)
+        alpha = mp_alpha(sigma.h, band)  # checks M/m before the chord is built
         mu_h, nu_h = secant_coeffs(sigma.h, band.m / band.M, band.M / band.m)
-        alpha = mp_alpha(sigma.h, band)
         report["sigma"] = sigma.name
         report["mu_h"] = mu_h
         report["nu_h"] = nu_h

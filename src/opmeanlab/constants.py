@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .symmat import SpectralBand
+from .symmat import SpectralBand, _values
 
 __all__ = [
     "MPConstants",
@@ -95,15 +95,18 @@ def secant_coeffs(phi: Callable, a: float, b: float) -> tuple:
 
     The chord is ``t -> mu * t + nu`` interpolating ``phi`` at both
     endpoints: ``mu = (phi(b) - phi(a)) / (b - a)`` and
-    ``nu = (b phi(a) - a phi(b)) / (b - a)``.
+    ``nu = (b phi(a) - a phi(b)) / (b - a)``.  A chord that is not finite,
+    from ``phi`` or from its products with the endpoints, raises ``ValueError``.
     """
     a, b = float(a), float(b)
     if not a < b:
         raise DegenerateIntervalError(f"need a < b, got a={a!r}, b={b!r}")
-    fa = float(phi(a))
-    fb = float(phi(b))
+    fa, fb = float(_values(phi, a)), float(_values(phi, b))
     mu = (fb - fa) / (b - a)
     nu = (b * fa - a * fb) / (b - a)
+    if not (math.isfinite(mu) and math.isfinite(nu)):
+        raise ValueError(f"chord of {getattr(phi, 'name', phi)} on [{a!r}, {b!r}] is not finite: "
+                         f"phi(a) = {fa!r}, phi(b) = {fb!r}")
     return mu, nu
 
 
@@ -142,16 +145,15 @@ def _grid_golden_max(num: Callable, den: Callable, a: float, b: float, not_finit
     followed by golden-section refinement of the cell around the best grid
     point.  A non-finite grid value raises ``ValueError(not_finite)``.
     """
+    ratio = lambda t: np.asarray(num(t), dtype=float) / den(t)
     x = np.linspace(a, b, _GRID_POINTS)
-    with np.errstate(all="ignore"):
-        vals = np.asarray(num(x), dtype=float) / den(x)
+    vals = _values(ratio, x)
     if not np.isfinite(vals).all():
         raise ValueError(not_finite)
     i = int(np.argmax(vals))
     lo = x[max(i - 1, 0)]
     hi = x[min(i + 1, _GRID_POINTS - 1)]
-    ratio = lambda t: float(num(t)) / den(t)
-    return max(float(vals[i]), _golden_max(ratio, float(lo), float(hi)))
+    return max(float(vals[i]), _golden_max(lambda t: float(_values(ratio, t)), float(lo), float(hi)))
 
 
 def chord_ratio_max(phi: Callable, a: float, b: float) -> float:
@@ -170,16 +172,21 @@ def chord_ratio_max(phi: Callable, a: float, b: float) -> float:
     return _grid_golden_max(phi, lambda t: mu * t + nu, a, b, "ratio is not finite on the interval")
 
 
+def _ratio_interval(band: SpectralBand) -> tuple:
+    """``(m/M, M/m)`` for ``m < M``; ``OverflowError`` when M/m is past the float range."""
+    if not band.m < band.M:
+        raise DegenerateIntervalError("band must have m < M")
+    return band.m / band.M, _in_float_range("ratio M/m", band, lambda M, m: M / m)
+
+
 def mp_alpha(h: Callable, band: SpectralBand) -> float:
     """Reverse constant for submultiplicative mean comparisons.
 
     The maximum of ``h(t) / (mu_h t + nu_h)`` over ``t`` in
     ``[m/M, M/m]``, where ``(mu_h, nu_h)`` is the chord of the representing
-    function ``h`` on that interval.  Requires ``m < M``.
+    function ``h`` on that interval.  Requires ``m < M`` and a finite M/m.
     """
-    if not band.m < band.M:
-        raise DegenerateIntervalError("band must have m < M")
-    return chord_ratio_max(h, band.m / band.M, band.M / band.m)
+    return chord_ratio_max(h, *_ratio_interval(band))
 
 
 def weighted_kantorovich(t: float, s: float, eps: float) -> float:
@@ -191,16 +198,23 @@ def weighted_kantorovich(t: float, s: float, eps: float) -> float:
 
     This closed form equals the chord-ratio maximum of ``x**eps`` over
     ``[t, s]``; at ``eps = 1/2`` it reduces to
-    ``(sqrt(s) + sqrt(t)) / (2 (s t)^(1/4))``.
+    ``(sqrt(s) + sqrt(t)) / (2 (s t)^(1/4))``.  Where the float formula
+    cancels or overflows to a value that is not finite and positive, it
+    raises ``ValueError``.
     """
     t, s, eps = float(t), float(s), float(eps)
     if not 0.0 < t < s:
         raise ValueError(f"need 0 < t < s, got t={t!r}, s={s!r}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"weight must lie in (0, 1), got {eps!r}")
-    num = eps**eps * (s - t) * (s * t**eps - t * s**eps) ** (eps - 1.0)
-    den = (1.0 - eps) ** (eps - 1.0) * (s**eps - t**eps) ** eps
-    return num / den
+    try:
+        num = eps**eps * (s - t) * (s * t**eps - t * s**eps) ** (eps - 1.0)
+        value = num / ((1.0 - eps) ** (eps - 1.0) * (s**eps - t**eps) ** eps)
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"weighted Kantorovich constant of [{t!r}, {s!r}] at eps={eps!r} cannot be computed in floats")
+    return value
 
 
 def mp_gamma(f: Callable, g: Callable, h: Callable, band: SpectralBand) -> MPConstants:
@@ -214,10 +228,7 @@ def mp_gamma(f: Callable, g: Callable, h: Callable, band: SpectralBand) -> MPCon
     The corrected chord denominator must be positive at both band
     endpoints; otherwise :class:`NonpositiveChordError` is raised.
     """
-    if not band.m < band.M:
-        raise DegenerateIntervalError("band must have m < M")
-    lo_h, hi_h = band.m / band.M, band.M / band.m
-    mu_h, nu_h = secant_coeffs(h, lo_h, hi_h)
+    mu_h, nu_h = secant_coeffs(h, *_ratio_interval(band))
     alpha = mp_alpha(h, band)
     mu_g, nu_g = secant_coeffs(g, band.m, band.M)
 
@@ -229,15 +240,7 @@ def mp_gamma(f: Callable, g: Callable, h: Callable, band: SpectralBand) -> MPCon
             "alpha-corrected chord of g is not positive on the band"
         )
     gamma = _grid_golden_max(f, denom, band.m, band.M, "gamma ratio is not finite on the band")
-    return MPConstants(
-        mu_h=float(mu_h),
-        nu_h=float(nu_h),
-        alpha=float(alpha),
-        mu_g=float(mu_g),
-        nu_g=float(nu_g),
-        gamma=float(gamma),
-        band=band,
-    )
+    return MPConstants(mu_h, nu_h, alpha, mu_g, nu_g, gamma, band)
 
 
 def yamazaki_coeff(band: SpectralBand, n: int) -> float:

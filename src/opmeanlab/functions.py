@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .symmat import _eigh
+from .symmat import _eigh, _values
 
 __all__ = [
     "ScalarFunction",
@@ -38,6 +38,8 @@ class ScalarFunction:
     ``operator_monotone`` is the exact monotonicity class of a catalog
     function, or None for a custom handle, which
     :func:`is_operator_monotone` then puts to the Loewner-matrix test.
+    Evaluation ignores numpy's floating-point errors and leaves the values
+    that are not finite to the caller.
     """
 
     name: str
@@ -45,7 +47,7 @@ class ScalarFunction:
     operator_monotone: bool | None = None
 
     def __call__(self, t):
-        return self.handle(np.asarray(t, dtype=float))
+        return _values(self.handle, np.asarray(t, dtype=float))
 
 
 IDENTITY = ScalarFunction("identity", lambda t: t, True)
@@ -77,7 +79,8 @@ _INCREASING_SAMPLES = 1000
 
 
 def _nondecreasing(vals: np.ndarray) -> bool:
-    return bool((np.diff(vals) >= -_PROBE_TOL * (1.0 + np.abs(vals[:-1]))).all())
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN step fails the comparison
+        return bool((np.diff(vals) >= -_PROBE_TOL * (1.0 + np.abs(vals[:-1]))).all())
 
 
 def custom_scalar(name: str, handle: Callable) -> ScalarFunction:
@@ -88,7 +91,7 @@ def custom_scalar(name: str, handle: Callable) -> ScalarFunction:
     ``ValueError``.
     """
     grid = np.geomspace(1e-6, 1e3, 257)
-    vals = np.asarray(handle(grid), dtype=float)
+    vals = _values(handle, grid)
     if vals.shape != grid.shape:
         raise ValueError("custom scalar function must be vectorized elementwise")
     if not np.isfinite(vals).all():
@@ -97,7 +100,7 @@ def custom_scalar(name: str, handle: Callable) -> ScalarFunction:
         raise ValueError("custom scalar function must be nonnegative on [0, inf)")
     if not _nondecreasing(vals):
         raise ValueError("custom scalar function must be monotone nondecreasing")
-    return ScalarFunction(name or "custom", lambda t: np.asarray(handle(t), dtype=float))
+    return ScalarFunction(name or "custom", handle)
 
 
 #: Node count of the Loewner-matrix monotonicity test (log-spaced on
@@ -121,12 +124,11 @@ def _loewner_margin(fn: Callable) -> float:
     """
     s = np.geomspace(1e-3, 1e3, _LOEWNER_NODES)
     step = _SLOPE_STEP * s
-    with np.errstate(all="ignore"):
-        vals = np.asarray(fn(s), dtype=float)
-        lo, hi = np.asarray(fn(s - step), dtype=float), np.asarray(fn(s + step), dtype=float)
+    vals, lo, hi = _values(fn, s), _values(fn, s - step), _values(fn, s + step)
+    span = s[:, None] - s
+    np.fill_diagonal(span, 1.0)
+    with np.errstate(all="ignore"):  # non-finite or huge values give non-finite entries
         slope = (hi - lo) / (2.0 * step)
-        span = s[:, None] - s
-        np.fill_diagonal(span, 1.0)
         loewner = (vals[:, None] - vals) / span
     np.fill_diagonal(loewner, slope)
     if not np.isfinite(loewner).all():
@@ -160,14 +162,15 @@ def midpoint_concave(fn: Callable, a: float, b: float) -> bool:
     refutation-only, like the other probes.
     """
     grid = np.linspace(a, b, 48)
-    vals = np.asarray(fn(grid), dtype=float)
-    mid = np.asarray(fn(np.add.outer(grid, grid).ravel() / 2.0), dtype=float)
-    avg = np.add.outer(vals, vals).ravel() / 2.0
-    scale = 1.0 + np.maximum(np.abs(mid), np.abs(avg))
-    return bool((mid >= avg - _PROBE_TOL * scale).all())
+    vals = _values(fn, grid)
+    mid = _values(lambda t: fn(np.add.outer(t, t).ravel() / 2.0), grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN gap fails the comparison
+        avg = np.add.outer(vals, vals).ravel() / 2.0
+        scale = 1.0 + np.maximum(np.abs(mid), np.abs(avg))
+        return bool((mid >= avg - _PROBE_TOL * scale).all())
 
 
 def increasing_on(fn: Callable, a: float, b: float) -> bool:
     """Monotone increase of ``fn`` on ``[a, b]`` (nondecreasing), checked on
     1000 evenly spaced points up to a relative slack of ``1e-10``."""
-    return _nondecreasing(np.asarray(fn(np.linspace(a, b, _INCREASING_SAMPLES)), dtype=float))
+    return _nondecreasing(_values(fn, np.linspace(a, b, _INCREASING_SAMPLES)))

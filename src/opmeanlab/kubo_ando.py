@@ -64,6 +64,7 @@ from .symmat import (
     _check_floor,
     _congruence,
     _floor_error,
+    _values,
 )
 
 __all__ = [
@@ -107,6 +108,8 @@ class RepresentingFunction:
     wraps a user handle so that a scalar result broadcasts.  ``kind`` and
     ``weight`` name the catalog family and its weight, for the closed form
     of the geometric mean and for oracles that rebuild ``h`` exactly.
+    Evaluation ignores numpy's floating-point errors and leaves the values
+    that are not finite to the caller.
     """
 
     kind: str
@@ -114,7 +117,7 @@ class RepresentingFunction:
     weight: float | None = None
 
     def __call__(self, t):
-        return self.handle(np.asarray(t, dtype=float))
+        return _values(self.handle, np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -186,9 +189,7 @@ def custom_mean(name: str, handle: Callable) -> MeanDescriptor:
     positivity) must pass; the monotonicity test is advisory and only
     reported, not enforced.
     """
-    h = RepresentingFunction(
-        "custom", lambda t: np.broadcast_to(np.asarray(handle(t), dtype=float), t.shape)
-    )
+    h = RepresentingFunction("custom", lambda t: np.broadcast_to(handle(t), t.shape))
     report = validate_representing(h)
     if not report.passed:
         problems = []
@@ -218,7 +219,7 @@ def representing_value(sigma: MeanDescriptor, t: float) -> float:
     t = float(t)
     if t <= 0.0:
         raise ValueError(f"representing functions are defined on (0, inf), got t={t!r}")
-    return float(sigma.h(t))
+    return float(_values(sigma.h, t))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -287,10 +288,8 @@ def validate_representing(h: RepresentingFunction) -> RepresentingReport:
     :class:`RepresentingReport`) is at least ``-1e-6``.  The test is
     deterministic and can refute but not certify monotonicity.
     """
-    h1_ok = bool(abs(float(h(1.0)) - 1.0) <= 1e-12)
-    grid = np.geomspace(1e-6, 1e6, 1201)
-    with np.errstate(all="ignore"):
-        vals = np.asarray(h(grid), dtype=float)
+    h1_ok = bool(abs(float(_values(h, 1.0)) - 1.0) <= 1e-12)
+    vals = _values(h, np.geomspace(1e-6, 1e6, 1201))
     positive_ok = bool(np.isfinite(vals).all() and (vals > 0.0).all())
     margin = _loewner_margin(h)
     return RepresentingReport(
@@ -310,8 +309,7 @@ def _harmonic_arithmetic(h: RepresentingFunction) -> tuple:
     absolute slack of ``_BETWEEN_TOL`` on 1000 log-spaced points of
     ``[1e-4, 1e4]``; both False where ``h`` is not finite."""
     t = np.geomspace(1e-4, 1e4, 1000)
-    with np.errstate(all="ignore"):
-        vals = np.asarray(h(t), dtype=float)
+    vals = _values(h, t)
     if not np.isfinite(vals).all():
         return False, False
     return (

@@ -68,6 +68,7 @@ from .symmat import (
     _first_out_of_band,
     _loewner,
     _symmetrize,
+    _values,
     random_spd_trials,
 )
 
@@ -274,8 +275,7 @@ def _kantorovich(cfg, n):
 def _two_function_scalar(cfg, n):
     # f or g not finite at its band edge, which the draws reach, fails as the calculus would
     m, M = cfg.band.m, cfg.band.M
-    with np.errstate(over="ignore", invalid="ignore"):
-        fm, gm = float(cfg.f(M)), float(cfg.g(1.0 / m))
+    fm, gm = float(_values(cfg.f, M)), float(_values(cfg.g, 1.0 / m))
     if not np.isfinite([fm, gm]).all():
         raise SpectrumDomainError(f"f(M) g(1/m) of band [{m!r}, {M!r}] is undefined: f(M) = {fm!r}, g(1/m) = {gm!r}")
     return _const._in_float_range("constant f(M) g(1/m)", cfg.band, lambda M, m: fm * gm)

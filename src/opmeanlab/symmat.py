@@ -6,8 +6,9 @@ eigendecompose, transform the spectrum, reassemble.  This module owns the
 value types, the Loewner order check, spectral bands, and seeded random
 generation of positive definite matrices with a prescribed spectrum, and
 the primitives the other modules share: every ``numpy.linalg`` call
-(``_eigh``, the Cholesky ``_congruence``, the Haar frame's QR), the
-reassembly ``Q f(w) Q^T`` and every check of the positive definite floor.
+(``_eigh``, the Cholesky ``_congruence``, the Haar frame's QR), every
+evaluation of a function (``_values``), the reassembly ``Q f(w) Q^T``
+and every check of the positive definite floor.
 
 The kernels behind the public functions work on stacks ``(..., d, d)``
 and give every matrix of a stack the bits it gets alone, so the trial
@@ -235,12 +236,18 @@ def eig_sym(a: SymMatrix) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=q)
 
 
+def _values(fn: Callable, t) -> np.ndarray:
+    """``fn(t)`` as a float array, with numpy's floating-point errors ignored: the
+    one evaluation of a function on numbers; callers judge non-finite values."""
+    with np.errstate(all="ignore"):
+        return np.asarray(fn(t), dtype=float)
+
+
 def _reassemble(w, q, f: Callable, undefined: str = "scalar function is undefined") -> np.ndarray:
     """``Q f(w) Q^T`` over a stack, not symmetrized.  An ``f(w)`` of another
     shape, or one that is not finite, raises :class:`SpectrumDomainError`;
     the latter reads ``"{undefined} at eigenvalue {w}"``."""
-    with np.errstate(all="ignore"):
-        fw = np.asarray(f(w), dtype=float)
+    fw = _values(f, w)
     if fw.shape != w.shape:
         raise SpectrumDomainError("scalar function must map eigenvalues elementwise")
     if not np.isfinite(fw).all():

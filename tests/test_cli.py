@@ -564,6 +564,8 @@ def test_overflow_is_one_error_line(command, warnings, tmp_path):
         # f(M) = 1e200 and g(1/m) = 1e200 are finite, their product is not
         ("check t22-a --band 1e-200:1e200 --seed 1",
          "constant f(M) g(1/m) of band [1e-200, 1e+200] is outside the float range"),
+        # alpha's interval [m/M, M/m] is not finite
+        ("check mond2 --band 1e-160:1e160 --seed 0", "ratio M/m of band [1e-160, 1e+160] is outside the float range"),
     ],
 )
 def test_value_past_the_float_range_is_one_error_line(argv, message, warnings):
@@ -593,6 +595,40 @@ def test_undefined_constant_is_one_error_line(argv, band, warnings):
         timeout=60,
     )
     message = f"f(M) g(1/m) of band {band} is undefined: f(M) = inf, g(1/m) = 1.0"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("warnings", [[], ["-W", "error::RuntimeWarning"]], ids=["default", "warnings-as-errors"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the float formula cancels to 0 near eps = 0 and eps = 1
+        ("constants --band 1e-13:10 --eps 1e-300",
+         "weighted Kantorovich constant of [1e-13, 10.0] at eps=1e-300 cannot be computed in floats"),
+        ("constants --band 2:3 --eps 0.9999999999999999",
+         "weighted Kantorovich constant of [2.0, 3.0] at eps=0.9999999999999999 cannot be computed in floats"),
+        # g overflows at the top of the band, so its chord is not finite
+        ("constants --band 1e-300:1e7 --g power:200",
+         "chord of power:200 on [1e-300, 10000000.0] is not finite: phi(a) = 0.0, phi(b) = inf"),
+        ("constants --band 1:1e7 --g expm1",
+         "chord of expm1 on [1.0, 10000000.0] is not finite: phi(a) = 1.7182818284590453, phi(b) = inf"),
+        ("check mp-gamma --band 3:1e160 --g expm1 --seed 3",
+         "chord of expm1 on [3.0, 1e+160] is not finite: phi(a) = 19.085536923187668, phi(b) = inf"),
+        # the concavity and increase probes overflow on the way; in the second,
+        # g is finite but b g(a) of the chord is not
+        ("falsify mp-gamma --band 3:1.7e308 --seed 4 --dim 1 --budget 8 --g expm1",
+         "chord of expm1 on [3.0, 1.7e+308] is not finite: phi(a) = 19.085536923187668, phi(b) = inf"),
+        ("trials mp-gamma --band 1e160:1.7e308 --seed 1 --dim 2 --trials 8 --sigma harmonic:0.999999 --g power:0.5",
+         "chord of power:0.5 on [1e+160, 1.7e+308] is not finite: phi(a) = 1e+80, phi(b) = 1.3038404810405297e+154"),
+    ],
+)
+def test_constant_that_is_not_finite_is_one_error_line(argv, message, warnings):
+    proc = subprocess.run(
+        [sys.executable, *warnings, "-m", "opmeanlab.cli", *argv.split()],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
