@@ -141,6 +141,11 @@ def _loewner_margin(fn: Callable) -> float:
     return float(_eigh(loewner * r[:, None] * r, vectors=False)[0])
 
 
+def _passes_loewner(margin: float) -> bool:
+    """The one verdict on a :func:`_loewner_margin`: only a margin below ``-_LOEWNER_TOL`` refutes."""
+    return margin >= -_LOEWNER_TOL
+
+
 def is_operator_monotone(fn: ScalarFunction) -> bool:
     """Whether ``fn`` preserves the Loewner order.
 
@@ -151,7 +156,7 @@ def is_operator_monotone(fn: ScalarFunction) -> bool:
     """
     if fn.operator_monotone is not None:
         return fn.operator_monotone
-    return _loewner_margin(fn) >= -_LOEWNER_TOL
+    return _passes_loewner(_loewner_margin(fn))
 
 
 def midpoint_concave(fn: Callable, a: float, b: float) -> bool:

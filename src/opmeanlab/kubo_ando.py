@@ -28,24 +28,9 @@ of two regimes, both exact to the bit:
 * floats: an ``n = 3`` level of a few ``2 x 2`` tuples, where numpy's
   per-call cost outweighs the arithmetic, iterates each tuple in Python
   floats with the closed form's IEEE operations in the stacked order;
-  exact because close stopping decisions are settled by the same
-  ``np.vecdot`` as the stacked sweep, and any pair near a floor or an
-  overflow hands the whole level back to the stacked sweep.
-
-Invariant tolerances (the test suite verifies these on random instances):
-
-* idempotence: ``A sigma A`` matches ``A`` entrywise within
-  ``1e-10 * (1 + ||A||_F)``;
-* band closure: ``m I <= A sigma B <= M I`` in the Loewner order at the
-  default order tolerance when both inputs have spectrum in ``[m, M]``;
-* joint monotonicity: ``A1 <= A2`` and ``B1 <= B2`` imply
-  ``A1 sigma B1 <= A2 sigma B2`` at the default order tolerance;
-* congruence invariance of the geometric mean:
-  ``T' (A # B) T`` matches ``(T' A T) # (T' B T)`` within ``1e-9``
-  relative to its operator norm;
-* multi-matrix mean: commuting diagonal families reproduce the
-  entrywise geometric mean within ``1e-10`` and the result is invariant
-  under input permutation within ``1e-9``.
+  exact because close stopping decisions are settled by the same stopping
+  test as the stacked sweep, and any pair near a floor or an overflow
+  hands the whole level back to the stacked sweep.
 """
 
 from __future__ import annotations
@@ -56,14 +41,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .functions import _LOEWNER_TOL, _loewner_margin
+from .functions import _loewner_margin, _passes_loewner
 from .symmat import (
-    PD_FLOOR,
     DimensionMismatchError,
     SymMatrix,
+    _at_floor,
     _check_floor,
     _congruence,
-    _floor_error,
+    _eigh,
+    _moved,
+    _stop_limit,
+    _symmetrize,
     _values,
 )
 
@@ -192,12 +180,9 @@ def custom_mean(name: str, handle: Callable) -> MeanDescriptor:
     h = RepresentingFunction("custom", lambda t: np.broadcast_to(handle(t), t.shape))
     report = validate_representing(h)
     if not report.passed:
-        problems = []
-        if not report.h1_ok:
-            problems.append("h(1) != 1")
-        if not report.positive_ok:
-            problems.append("h is not positive on (0, inf)")
-        raise ValueError(f"invalid representing function {name!r}: " + ", ".join(problems))
+        checks = (("h(1) != 1", report.h1_ok), ("h is not positive on (0, inf)", report.positive_ok))
+        problems = ", ".join(problem for problem, ok in checks if not ok)
+        raise ValueError(f"invalid representing function {name!r}: {problems}")
     return MeanDescriptor(name, h)
 
 
@@ -240,14 +225,12 @@ def _geometric_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     a00, a01, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
     b00, b01, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 1]
     two_a01 = 2.0 * a01
-    if (low := (a00 + a11 - np.hypot(a00 - a11, two_a01)).min() / 2.0) <= PD_FLOOR:
-        raise _floor_error("A", low)
+    _check_floor((a00 + a11 - np.hypot(a00 - a11, two_a01)).min() / 2.0, "A")
     det_a, det_b = a00 * a11 - a01 * a01, b00 * b11 - b01 * b01
     t = a00 * b11 + a11 * b00 - two_a01 * b01
-    if not ((det_b > PD_FLOOR * t) & (t > 0.0)).all() and (
-        low := ((t - np.sqrt(np.maximum(t * t - 4.0 * det_a * det_b, 0.0))) / (2.0 * det_a)).min()
-    ) <= PD_FLOOR:
-        raise _floor_error("A^-1/2 B A^-1/2", low)
+    if (_at_floor(det_b, t) | (t <= 0.0)).any():
+        low = ((t - np.sqrt(np.maximum(t * t - 4.0 * det_a * det_b, 0.0))) / (2.0 * det_a)).min()
+        _check_floor(low, "A^-1/2 B A^-1/2")
     alpha, beta = np.sqrt(det_a), np.sqrt(det_b)
     s = np.sqrt(t + 2.0 * alpha * beta)
     if not np.isfinite(s).all():
@@ -295,7 +278,7 @@ def validate_representing(h: RepresentingFunction) -> RepresentingReport:
     return RepresentingReport(
         h1_ok=h1_ok,
         positive_ok=positive_ok,
-        monotone_ok=positive_ok and margin >= -_LOEWNER_TOL,
+        monotone_ok=positive_ok and _passes_loewner(margin),
         worst_margin=margin,
     )
 
@@ -349,18 +332,18 @@ def _geometric_floats(a: list, b: list) -> list | None:
     of Python floats, with the same IEEE operations in the same order.
 
     Returns None outside the regime where every decision of the stacked
-    kernel is known: an ``A`` floor within ``2 * PD_FLOOR`` (or within the
-    ulp of ``tr A`` by which ``math.hypot`` and ``np.hypot`` may differ), a
+    kernel is known: an ``A`` eigenvalue within ``1e-15 tr A`` (the ulp by
+    which ``math.hypot`` and ``np.hypot`` may differ) of twice the floor, a
     failed bound on ``C``, a negative determinant or a non-finite ``s``.
     """
     a00, a01, a10, a11 = a
     b00, b01, b10, b11 = b
     trace, two_a01 = a00 + a11, 2.0 * a01
-    if not (trace - math.hypot(a00 - a11, two_a01)) / 2.0 > 2.0 * PD_FLOOR + 1e-15 * trace:
+    if _at_floor((trace - math.hypot(a00 - a11, two_a01)) / 2.0 - 1e-15 * trace, 2.0):
         return None
     det_a, det_b = a00 * a11 - a01 * a01, b00 * b11 - b01 * b01
     t = a00 * b11 + a11 * b00 - two_a01 * b01
-    if not (det_b > PD_FLOOR * t and t > 0.0 and det_a >= 0.0):
+    if _at_floor(det_b, t) or not (t > 0.0 and det_a >= 0.0):
         return None
     alpha, beta = math.sqrt(det_a), math.sqrt(det_b)
     s = math.sqrt(t + 2.0 * alpha * beta)
@@ -377,8 +360,8 @@ def _alm3_floats(tuples: np.ndarray, tol: float, max_iter: int) -> np.ndarray | 
 
     Means and averages repeat the stacked kernel's operations.  A stopping
     decision stands when every member's norm clears its limit by the
-    relative gap ``_CLEAR``; otherwise the tuple's norms are taken with
-    ``np.vecdot``, as in the stacked sweep.  Any pair outside the regime of
+    relative gap ``_CLEAR``; otherwise the stacked sweep's stopping test
+    :func:`_moved` decides.  Any pair outside the regime of
     :func:`_geometric_floats`, a norm that is not finite, or a tuple still
     moving after ``max_iter`` sweeps returns None, so that the stacked sweep
     raises its own error with its own residual.
@@ -397,15 +380,13 @@ def _alm3_floats(tuples: np.ndarray, tol: float, max_iter: int) -> np.ndarray | 
                 size = math.sqrt(o0 * o0 + o1 * o1 + o2 * o2 + o3 * o3)
                 if not delta + size < math.inf:
                     return None
-                limit = tol * (1.0 + size)
+                limit = _stop_limit(size, tol)
                 if delta > limit * (1.0 + _CLEAR):
                     moving = True
                 elif not delta < limit * (1.0 - _CLEAR):
                     razor = True
             if razor and not moving:
-                step, old = np.subtract(nxt, cur), np.array(cur)
-                delta = np.sqrt(np.vecdot(step, step))
-                moving = bool((delta > tol * (1.0 + np.sqrt(np.vecdot(old, old)))).any())
+                moving = bool(_moved(np.subtract(nxt, cur), np.array(cur), tol)[2].any())
             cur = nxt
             if not moving:
                 out.append([(0.0 + x + y + z) / 3 for x, y, z in zip(*cur)])
@@ -428,19 +409,13 @@ def _alm(tuples: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     finite raises ``OverflowError`` instead, and the overflow is not
     warned about.  A norm that overflows in a tuple that keeps moving
     changes no decision: some other member moved by more than its limit.
-
     An ``n = 3`` level of at most ``_FLOAT_LEVEL_MAX`` tuples of ``2 x 2``
-    matrices, where numpy's per-call cost outweighs its arithmetic, runs in
-    Python floats instead (:func:`_alm3_floats`).  That regime is exact by
-    construction: it performs the closed form's IEEE operations in the
-    stacked order, settles close stopping decisions with the stacked
-    ``np.vecdot``, and hands the whole level back to the stacked sweep on
-    any pair or norm where a decision could differ.  The stacked regime is
-    exact because each pair of a stack gets the bits it gets alone.
+    matrices runs in Python floats instead (:func:`_alm3_floats`; both
+    regimes are exact, see the module text).
     """
     count, n, d = tuples.shape[:3]
     if n == 1:
-        _check_floor(tuples, "A")
+        _check_floor(_eigh(tuples, vectors=False)[..., 0].min(), "A")
     if n <= 2:
         return tuples[:, 0] if n == 1 else _binary_mean(np.sqrt, tuples[:, 0], tuples[:, 1])
     if (
@@ -459,10 +434,8 @@ def _alm(tuples: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
             nxt = _binary_mean(np.sqrt, np.take(cur, first, axis=1), np.take(cur, second, axis=1))
         else:
             nxt = _alm(cur[:, others].reshape(-1, n - 1, d, d), tol, max_iter).reshape(-1, n, d, d)
-        # Frobenius norms with the one BLAS dot per matrix that np.linalg.norm uses
-        step, old = (nxt - cur).reshape(len(cur), n, -1), cur.reshape(len(cur), n, -1)
-        delta, size = np.sqrt(np.vecdot(step, step)), np.sqrt(np.vecdot(old, old))
-        moving = (delta > tol * (1.0 + size)).any(axis=1)
+        delta, size, moved = _moved((nxt - cur).reshape(len(cur), n, -1), cur.reshape(len(cur), n, -1), tol)
+        moving = moved.any(axis=1)
         if moving.all():
             cur = nxt
             continue
@@ -479,6 +452,12 @@ def _alm(tuples: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
         f"(last residual {residual:.3e})",
         residual,
     )
+
+
+def _geometric_means(x: np.ndarray) -> np.ndarray:
+    """:func:`alm_mean` with its default stopping rule over a ``(..., n, d, d)`` stack."""
+    tuples = x.reshape((-1,) + x.shape[-3:])
+    return _symmetrize(_alm(tuples, _ALM_TOL, _ALM_MAX_ITER).reshape(x.shape[:-3] + x.shape[-2:]))
 
 
 def alm_mean(

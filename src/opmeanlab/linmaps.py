@@ -182,14 +182,16 @@ def is_unital(phi: MapDescriptor, dim: int | None = None) -> bool:
     """Whether ``Phi(I) = I`` within ``1e-10`` (max absolute entry).
 
     ``dim`` chooses the probe dimension for dimension-agnostic maps
-    (default 2); fixed-dimension maps ignore it in favor of their own.
+    (default 2); fixed-dimension maps ignore it in favor of their own.  An
+    image that overflows is not ``I``.
     """
     d = phi.input_dim
     if d is None:
         d = dim if dim is not None else 2
-    image = apply_map(phi, SymMatrix.identity(d))
-    target = np.eye(image.dim)
-    return bool(np.max(np.abs(image.data - target)) <= _UNITAL_TOL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = phi.action(SymMatrix.identity(d).data)
+        gap = np.abs((image + image.mT) / 2.0 - np.eye(image.shape[-1]))
+    return bool(np.max(gap) <= _UNITAL_TOL)
 
 
 def unitalize(phi: MapDescriptor, dim: int | None = None) -> MapDescriptor:
@@ -199,7 +201,7 @@ def unitalize(phi: MapDescriptor, dim: int | None = None) -> MapDescriptor:
     kinds the correction frame is computed from ``Phi(I)`` at dimension
     ``dim`` (required when the map is dimension-agnostic); a ``Phi(I)``
     whose smallest eigenvalue is at or below the positive definite floor
-    1e-13 raises :class:`NotPositiveDefiniteError`.
+    ``PD_FLOOR`` raises :class:`NotPositiveDefiniteError`.
     """
     if phi.kind == "identity":
         return phi

@@ -48,13 +48,12 @@ from .functions import (
     midpoint_concave,
 )
 from .kubo_ando import (
-    _ALM_MAX_ITER,
-    _ALM_TOL,
     ARITHMETIC,
     GEOMETRIC,
     MeanDescriptor,
-    _alm,
+    _alm,  # called through _geometric_means; tests/test_engine.py patches both names
     _binary_mean,
+    _geometric_means,
     _harmonic_arithmetic,
     is_between_harmonic_arithmetic,
 )
@@ -234,12 +233,6 @@ def _favg(x):
         return _symmetrize(sum(x[..., i, :, :] for i in range(n)) / n)
 
 
-def _geo_mean(x):
-    """Multi-matrix geometric mean of each trial's inputs."""
-    tuples = x.reshape((-1,) + x.shape[-3:])
-    return _symmetrize(_alm(tuples, _ALM_TOL, _ALM_MAX_ITER).reshape(x.shape[:-3] + x.shape[-2:]))
-
-
 def _role(cfg, part):
     """A formula part: the name of a config field (``"phi"``, ``"sigma"``,
     ``"f"``, ``"p"``, ...) reads that field; anything else is a fixed value."""
@@ -291,9 +284,9 @@ def _c23_scalar(cfg, n):
 def _c27_scalar(cfg, n):
     _require_nonnegative(cfg.p, "exponent p")
     _require_nonnegative(cfg.q, "exponent q")
-    # each factor past the float range raises; an infinite product is refused with the right side
-    k = _const._in_float_range("factor M^p", cfg.band, lambda M, m: M**cfg.p)
-    return k * _const._in_float_range("factor m^(-q)", cfg.band, lambda M, m: m ** (-cfg.q))
+    mp = _const._in_float_range("factor M^p", cfg.band, lambda M, m: M**cfg.p)
+    mq = _const._in_float_range("factor m^(-q)", cfg.band, lambda M, m: m ** (-cfg.q))
+    return _const._in_float_range("constant M^p m^(-q)", cfg.band, lambda M, m: mp * mq)
 
 
 # Builders: (cfg, constants, x) -> (lhs, rhs) for inputs x of shape (..., n, d, d).
@@ -332,7 +325,7 @@ def _multi(left, right):
         phi, f = (_role(cfg, part) for part in left)
         psi, g = (_role(cfg, part) for part in right)
         lhs = _calculus(_map(phi, _favg(x)), f, None)
-        return lhs, _scaled(k, _calculus(_geo_mean(_map(psi, x)), g, None))
+        return lhs, _scaled(k, _calculus(_geometric_means(_map(psi, x)), g, None))
 
     return build
 

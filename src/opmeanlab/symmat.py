@@ -7,8 +7,9 @@ value types, the Loewner order check, spectral bands, and seeded random
 generation of positive definite matrices with a prescribed spectrum, and
 the primitives the other modules share: every ``numpy.linalg`` call
 (``_eigh``, the Cholesky ``_congruence``, the Haar frame's QR), every
-evaluation of a function (``_values``), the reassembly ``Q f(w) Q^T``
-and every check of the positive definite floor.
+evaluation of a function (``_values``), the reassembly ``Q f(w) Q^T``,
+and the tolerance policies: the floor (``_at_floor``), the order slack
+(``_order_tol``) and the stopping limit of an iteration (``_moved``).
 
 The kernels behind the public functions work on stacks ``(..., d, d)``
 and give every matrix of a stack the bits it gets alone, so the trial
@@ -52,9 +53,11 @@ __all__ = [
     "op_norm",
 ]
 
-#: Eigenvalues at or below this floor are treated as zero by operations that
-#: need a strictly positive spectrum (inverse powers, geometric conjugation).
+#: Eigenvalues at or below this floor count as zero where a strictly positive spectrum
+#: is needed; :func:`_at_floor` is the one comparison with it.  It is absolute, so
+#: scale alone refuses ``mean(GEOMETRIC, 1e-13 * A, 1e-13 * B)``, but not ``1e-12 *``.
 PD_FLOOR = 1e-13
+_ORDER_SLACK = 1e-9  # the order slack is _ORDER_SLACK * (1 + scale), see _order_tol
 
 
 class DimensionMismatchError(ValueError):
@@ -256,6 +259,12 @@ def _reassemble(w, q, f: Callable, undefined: str = "scalar function is undefine
     return (q * fw[..., None, :]) @ q.mT
 
 
+def _at_floor(value, scale=1.0):
+    """Whether ``value <= PD_FLOOR * scale`` (an eigenvalue, or a bound on one
+    with the factor ``scale``): the one comparison with the floor."""
+    return value <= PD_FLOOR * scale
+
+
 def _floor_error(operand: str, low) -> NotPositiveDefiniteError:
     """The error of every floor check: ``operand`` has smallest eigenvalue ``low``."""
     return NotPositiveDefiniteError(
@@ -263,9 +272,9 @@ def _floor_error(operand: str, low) -> NotPositiveDefiniteError:
     )
 
 
-def _check_floor(x: np.ndarray, operand: str) -> None:
-    """Raise :func:`_floor_error` if a stack's smallest eigenvalue is at or below ``PD_FLOOR``."""
-    if (low := _eigh(x, vectors=False)[..., 0].min()) <= PD_FLOOR:
+def _check_floor(low, operand: str) -> None:
+    """Raise :func:`_floor_error` if ``operand``'s smallest eigenvalue ``low`` is :func:`_at_floor`."""
+    if _at_floor(low):
         raise _floor_error(operand, low)
 
 
@@ -273,8 +282,7 @@ def _floored(x, f: Callable, operand: str, undefined: str = "scalar function is 
     """``Q f(w) Q^T`` of ``x = Q diag(w) Q^T`` over a stack, not symmetrized,
     after the floor check of :func:`_check_floor` on ``w``."""
     w, q = _eigh(x)
-    if (low := w[0] if w.ndim == 1 else w[..., 0].min()) <= PD_FLOOR:
-        raise _floor_error(operand, low)
+    _check_floor(w[0] if w.ndim == 1 else w[..., 0].min(), operand)
     return _reassemble(w, q, f, undefined)
 
 
@@ -292,10 +300,22 @@ def _congruence(a, b, f: Callable, undefined: str = "scalar function is undefine
         raise _floor_error("A", _eigh(a, vectors=False)[..., 0].min()) from None
     inv_factor = np.linalg.inv(factor)
     if np.vdot(inv_factor, inv_factor) >= 1.0 / PD_FLOOR:
-        _check_floor(a, "A")
+        _check_floor(_eigh(a, vectors=False)[..., 0].min(), "A")
     c = inv_factor @ b @ inv_factor.mT
     out = factor @ _floored((c + c.mT) / 2.0, f, "A^-1/2 B A^-1/2", undefined) @ factor.mT
     return (out + out.mT) / 2.0
+
+
+def _stop_limit(size, tol: float):
+    """The longest step ``tol * (1 + size)`` of an iterate of Frobenius norm ``size`` that stops it."""
+    return tol * (1.0 + size)
+
+
+def _moved(step: np.ndarray, old: np.ndarray, tol: float) -> tuple:
+    """Frobenius norms ``delta`` of flattened steps and ``size`` of old iterates (one BLAS
+    dot each, as ``np.linalg.norm``), and whether each step passes its :func:`_stop_limit`."""
+    delta, size = np.sqrt(np.vecdot(step, step)), np.sqrt(np.vecdot(old, old))
+    return delta, size, delta > _stop_limit(size, tol)
 
 
 def _apply_scalar(x: np.ndarray, f: Callable) -> np.ndarray:
@@ -334,6 +354,11 @@ def op_norm(a: SymMatrix) -> float:
     return float(max(abs(w[0]), abs(w[-1])))
 
 
+def _order_tol(scale):
+    """Order slack ``1e-9 * (1 + scale)``: ``scale`` is the larger operator norm, or the band's ``M``."""
+    return _ORDER_SLACK * (1.0 + scale)
+
+
 def _loewner(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> OrderVerdict:
     """:func:`loewner_leq` over stacks ``(..., d, d)``; the verdict's fields
     are arrays over the leading axes.  One ``eigvalsh`` call serves the gap
@@ -344,7 +369,7 @@ def _loewner(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> OrderVer
         w, wa, wb = _eigh(np.stack((b - a, a, b)), vectors=False)
         norm_a = np.maximum(np.abs(wa[..., 0]), np.abs(wa[..., -1]))
         norm_b = np.maximum(np.abs(wb[..., 0]), np.abs(wb[..., -1]))
-        tol = 1e-9 * (1.0 + np.maximum(norm_a, norm_b))
+        tol = _order_tol(np.maximum(norm_a, norm_b))
     elif not tol >= 0.0:
         raise ValueError(f"tolerance must be a nonnegative number, got {tol!r}")
     else:
@@ -390,11 +415,6 @@ def spectral_band_of(mats: Sequence[SymMatrix]) -> SpectralBand:
     return SpectralBand(lo, hi)
 
 
-def _band_tol(band: SpectralBand) -> float:
-    """Slack of the band checks: ``1e-9 * (1 + M)``."""
-    return 1e-9 * (1.0 + band.M)
-
-
 def validate_band(mats: Sequence[SymMatrix], band: SpectralBand) -> BandReport:
     """Check that every eigenvalue of every matrix lies in ``[m, M]``.
 
@@ -402,7 +422,7 @@ def validate_band(mats: Sequence[SymMatrix], band: SpectralBand) -> BandReport:
     ``tol = 1e-9 * (1 + M)``.  The report lists offending eigenvalues per
     matrix rather than failing fast.
     """
-    return _band_report([_eigh(a.data, vectors=False) for a in mats], band, _band_tol(band))
+    return _band_report([_eigh(a.data, vectors=False) for a in mats], band, _order_tol(band.M))
 
 
 def _band_report(eigenvalues, band: SpectralBand, tol: float) -> BandReport:
@@ -419,7 +439,7 @@ def _first_out_of_band(x: np.ndarray, band: SpectralBand) -> tuple:
     tolerance.  Returns the index and report of the first group with an
     eigenvalue outside the band, or ``(T, None)`` when every matrix is
     inside."""
-    tol = _band_tol(band)
+    tol = _order_tol(band.M)
     w = _eigh(x, vectors=False)
     outside = (w < band.m - tol) | (w > band.M + tol)
     if not outside.any():

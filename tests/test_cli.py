@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import opmeanlab as ol
-from opmeanlab import SpectralBand, SymMatrix, statements
+from opmeanlab import SpectralBand, SymMatrix, kubo_ando
 from opmeanlab.cli import _config_dict, main, parse_band, parse_function, parse_map, parse_mean
 from opmeanlab.matio import write_sym_matrix
 
@@ -306,14 +306,13 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("maps", [(), ("--phi", "trace", "--psi", "trace")], ids=["identity", "trace"])
     def test_overflowed_constant_is_config_error(self, maps, capsys):
-        # k = 2^1000 2^1000 overflows to inf; the scaled right side is refused
-        # as non-finite instead of being compared.  inf times a zero entry of
-        # a trace image is nan, which numpy warns about.
-        with np.errstate(invalid="ignore"):
-            code, out, err = run_cli(
-                capsys, "check", "c27", "--band", "0.5:2", "--p", "1000", "--q", "1000", "--seed", "1", *maps
-            )
-        assert (code, out, err) == (2, "", "error: matrix entries must be finite\n")
+        # the factors 2^1000 and 2^1000 are finite, the constant k, their product, is not
+        code, out, err = run_cli(
+            capsys, "check", "c27", "--band", "0.5:2", "--p", "1000", "--q", "1000", "--seed", "1", *maps
+        )
+        assert (code, out, err) == (
+            2, "", "error: numeric overflow: constant M^p m^(-q) of band [0.5, 2.0] is outside the float range\n"
+        )
 
     @pytest.mark.parametrize(
         "argv", [("check",), ("trials",), ("trials", "--trials", "0"), ("falsify", "--budget", "0")]
@@ -355,7 +354,7 @@ class TestCheckCommand:
         def alm(*args):
             raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
-        monkeypatch.setattr(statements, "_alm", alm)
+        monkeypatch.setattr(kubo_ando, "_alm", alm)
         code, out, err = run_cli(capsys, "check", "yamazaki", "--n-matrices", "30", "--dim", "2")
         assert (code, out) == (2, "")
         assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
@@ -504,12 +503,19 @@ def test_module_entry_point():
 _OVERFLOWS = {
     # the scale map's k x overflows
     "map": "check ando --phi scale:1e308 --seed 1",
-    # the unitality probe's image 1e308 I overflows when symmetrized
+    # the unitality probe's image 1e308 I overflows when symmetrized, so it is not I
     "unital-probe": "check t22-a --phi scale:1e308 --seed 1",
     # A^154 on the band 1:100 overflows when the spectral calculus symmetrizes it
     "calculus": "check q2 --band 1:100 --p 154 --seed 1",
     # the sum of four inputs near 5e307 overflows before it is averaged
     "average": "check ragm --band 5e307:5.5e307 --n-matrices 4 --seed 1",
+}
+
+
+#: The overflows that are reported by what overflowed, not as a non-finite matrix.
+_NAMED_OVERFLOWS = {
+    "check": "numeric overflow: constant M^p m^(-q) of band [0.5, 2.0] is outside the float range",
+    "unital-probe": "phi (scale:1e+308) is not unital",
 }
 
 
@@ -520,7 +526,7 @@ def _overflow_argv(command, tmp_path):
         # seeded draws near the float maximum overflow when symmetrized
         return ["check", "ando", "--band", "1e308:1.5e308", "--seed", "1"]
     if command == "check":
-        # k = 2^1000 2^1000 is inf, and inf times a zero entry of a trace image is nan
+        # k = 2^1000 2^1000 is inf
         return ["check", "c27", "--band", "0.5:2", "--p", "1000", "--q", "1000", "--seed", "1",
                 "--phi", "trace", "--psi", "trace"]
     # 1.5e308 + 1.5e308 overflows when the matrix is symmetrized
@@ -538,7 +544,8 @@ def test_overflow_is_one_error_line(command, warnings, tmp_path):
         capture_output=True,
         text=True,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: matrix entries must be finite\n")
+    message = _NAMED_OVERFLOWS.get(command, "matrix entries must be finite")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("warnings", [[], ["-W", "error::RuntimeWarning"]], ids=["default", "warnings-as-errors"])

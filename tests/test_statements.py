@@ -267,9 +267,9 @@ class TestRunTrials:
             ol.run_trials(cfg, trials=5, seed=0)
 
     def test_overflowed_constant_raises(self):
-        # c27's k = M^p m^(-q) = 2^2000 is inf; the scaled right side is refused
+        # c27's k = M^p m^(-q) = 2^2000 is inf, though each factor is finite
         cfg = StatementConfig(statement_id="c27", band=SpectralBand(0.5, 2.0), p=1000.0, q=1000.0)
-        with pytest.raises(ValueError, match="matrix entries must be finite"):
+        with pytest.raises(OverflowError, match=r"constant M\^p m\^\(-q\) of band \[0.5, 2.0\] is outside the float range"):
             ol.run_trials(cfg, trials=5, seed=1)
 
     def test_zero_trials(self):
