@@ -12,6 +12,11 @@ for runs that cannot finish (overflow, exhausted memory, a mean or
 eigensolver that does not converge), reported as one ``error:`` line on
 stderr.
 
+Every statement flag is declared, read and reported from one table.  An
+omitted flag, or a text flag given empty, keeps its default in every command:
+the bundled witness's band and p for ``falsify --seed-known``, else the
+default of :class:`StatementConfig`.
+
 JSON output is canonical: keys sorted, two-space indent, no timing fields,
 so identical invocations produce byte-identical reports.
 """
@@ -23,8 +28,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import replace
-from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -57,6 +61,7 @@ from .kubo_ando import (
     weighted_harmonic,
 )
 from .linmaps import (
+    MapDescriptor,
     compression,
     identity_map,
     normalized_trace,
@@ -136,18 +141,39 @@ def parse_function(text: str):
     raise ValueError(grammar)
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--band", default=None, help="spectral band m:M (default 1:2)")
-    p.add_argument("--dim", type=int, default=None, help="matrix dimension for drawn inputs")
-    p.add_argument("--sigma", default=None, help="mean sigma, e.g. geometric or arithmetic:0.3")
-    p.add_argument("--tau", default=None, help="mean tau (same grammar as --sigma)")
-    p.add_argument("--phi", default=None, help="map phi: identity|trace|scale:k|pinch:...|compress:file|unitalize:<map>")
-    p.add_argument("--psi", default=None, help="map psi (same grammar as --phi)")
-    p.add_argument("--f", default=None, help="scalar function f: identity|expm1|power:p|spower:c,p")
-    p.add_argument("--g", default=None, help="scalar function g (same grammar as --f)")
-    p.add_argument("--p", type=float, default=None, help="exponent p")
-    p.add_argument("--q", type=float, default=None, help="exponent q")
-    p.add_argument("--n-matrices", type=int, default=None, help="inputs for multi-matrix statements")
+#: The statement flags, one row per :class:`StatementConfig` field, in the
+#: order ``--help`` lists them: how the flag's text is read, how a report
+#: shows the value, and the help line.  Numbers are read by argparse, so a
+#: malformed one is a usage error; :func:`build_config` reads the rest, the
+#: maps at ``--dim``.
+_FLAGS = {
+    "band": (parse_band, lambda band: {"m": band.m, "M": band.M}, "spectral band m:M (default 1:2)"),
+    "dim": (int, int, "matrix dimension for drawn inputs"),
+    "sigma": (parse_mean, attrgetter("name"), "mean sigma, e.g. geometric or arithmetic:0.3"),
+    "tau": (parse_mean, attrgetter("name"), "mean tau (same grammar as --sigma)"),
+    "phi": (parse_map, MapDescriptor.describe,
+            "map phi: identity|trace|scale:k|pinch:...|compress:file|unitalize:<map>"),
+    "psi": (parse_map, MapDescriptor.describe, "map psi (same grammar as --phi)"),
+    "f": (parse_function, attrgetter("name"), "scalar function f: identity|expm1|power:p|spower:c,p"),
+    "g": (parse_function, attrgetter("name"), "scalar function g (same grammar as --f)"),
+    "p": (float, float, "exponent p"),
+    "q": (float, float, "exponent q"),
+    "n_matrices": (int, int, "inputs for multi-matrix statements"),
+}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, names=tuple(_FLAGS)):
+    """Declare the statement flags ``names`` from their rows of :data:`_FLAGS`."""
+    for name in names:
+        read, _, help_line = _FLAGS[name]
+        number = read in (int, float)
+        p.add_argument("--" + name.replace("_", "-"), type=read if number else None, help=help_line)
+
+
+def _add_statement_flags(p: argparse.ArgumentParser):
+    """The statement id and flags, the seed, the expectation and the report flags."""
+    p.add_argument("statement", help="statement id, e.g. ando; see README for the catalog")
+    _add_config_flags(p)
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--expect-violation", action="store_true", help="treat a found violation as the expected outcome")
     _add_report_flags(p)
@@ -158,47 +184,29 @@ def _add_report_flags(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("text", "json"), default="text", help="stdout format")
 
 
-#: Parser of each statement flag given as text in the library's grammar,
-#: apart from the maps, whose parser also takes ``--dim``; the numeric
-#: flags arrive parsed.
-_CONFIG_PARSERS = {
-    "band": parse_band,
-    "sigma": parse_mean,
-    "tau": parse_mean,
-    "f": parse_function,
-    "g": parse_function,
-}
+def build_config(args, **defaults) -> StatementConfig:
+    """The statement of the flags in ``args``, the one default rule of the CLI.
 
-
-def build_config(args) -> StatementConfig:
-    """The statement of the given flags; an omitted flag keeps the default
-    of :class:`StatementConfig`."""
-    dim = StatementConfig.dim if args.dim is None else args.dim
-    maps = partial(parse_map, dim=dim)
-    parsers = dict(_CONFIG_PARSERS, phi=maps, psi=maps)
-    given = {}
-    for name in ("band", "sigma", "tau", "phi", "psi", "f", "g", "p", "q", "dim", "n_matrices"):
-        value = getattr(args, name)
-        if value is not None and value != "":
-            given[name] = parsers[name](value) if name in parsers else value
-    return StatementConfig(statement_id=args.statement, **given)
+    Each field takes its flag's value, else its value in ``defaults``, else
+    the default of :class:`StatementConfig`; a value that is None or empty
+    counts as not given.  ``constants`` and ``mean`` name no statement.
+    """
+    flags = {name: vars(args).get(name) for name in _FLAGS}
+    values = {
+        name: value for given in (defaults, flags) for name, value in given.items()
+        if value is not None and value != ""
+    }
+    dim = values.get("dim", StatementConfig.dim)
+    for name, value in values.items():
+        if isinstance(value, str):
+            read = _FLAGS[name][0]
+            values[name] = read(value, dim) if read is parse_map else read(value)
+    return StatementConfig(vars(args).get("statement", ""), **values)
 
 
 def _config_dict(cfg: StatementConfig) -> dict:
-    return {
-        "statement": cfg.statement_id,
-        "band": {"m": cfg.band.m, "M": cfg.band.M},
-        "sigma": cfg.sigma.name,
-        "tau": cfg.tau.name,
-        "phi": cfg.phi.describe(),
-        "psi": cfg.psi.describe(),
-        "f": cfg.f.name,
-        "g": cfg.g.name,
-        "p": cfg.p,
-        "q": cfg.q,
-        "dim": cfg.dim,
-        "n_matrices": cfg.n_matrices,
-    }
+    shown = {name: show(getattr(cfg, name)) for name, (_, show, _) in _FLAGS.items()}
+    return {"statement": cfg.statement_id, **shown}
 
 
 def _constants_dict(value) -> object:
@@ -247,8 +255,8 @@ def _verdict(report: dict, args, cfg: StatementConfig, lines, violated: bool) ->
 
 
 def cmd_constants(args) -> int:
-    # an omitted flag keeps the default of StatementConfig, as in build_config
-    band = parse_band(args.band) if args.band else StatementConfig.band
+    cfg = build_config(args)
+    band = cfg.band
     report = {
         "band": {"m": band.m, "M": band.M},
         "kantorovich": kantorovich(band),
@@ -260,24 +268,20 @@ def cmd_constants(args) -> int:
         f"polya_szego        {report['polya_szego']:.12g}",
     ]
     if args.sigma:
-        sigma = parse_mean(args.sigma)
-        alpha = mp_alpha(sigma.h, band)  # checks M/m before the chord is built
-        mu_h, nu_h = secant_coeffs(sigma.h, band.m / band.M, band.M / band.m)
-        report["sigma"] = sigma.name
+        alpha = mp_alpha(cfg.sigma.h, band)  # checks M/m before the chord is built
+        mu_h, nu_h = secant_coeffs(cfg.sigma.h, band.m / band.M, band.M / band.m)
+        report["sigma"] = cfg.sigma.name
         report["mu_h"] = mu_h
         report["nu_h"] = nu_h
         report["alpha"] = alpha
-        lines.append(f"sigma              {sigma.name}")
+        lines.append(f"sigma              {cfg.sigma.name}")
         lines.append(f"mu_h               {mu_h:.12g}")
         lines.append(f"nu_h               {nu_h:.12g}")
         lines.append(f"alpha              {alpha:.12g}")
     if args.f or args.g:
-        sigma = parse_mean(args.sigma) if args.sigma else StatementConfig.sigma
-        f = parse_function(args.f) if args.f else StatementConfig.f
-        g = parse_function(args.g) if args.g else StatementConfig.g
-        consts = mp_gamma(f, g, sigma.h, band)
+        consts = mp_gamma(cfg.f, cfg.g, cfg.sigma.h, band)
         report["mp"] = _constants_dict(consts)
-        lines.append(f"gamma              {consts.gamma:.12g}  (f={f.name}, g={g.name}, sigma={sigma.name})")
+        lines.append(f"gamma              {consts.gamma:.12g}  (f={cfg.f.name}, g={cfg.g.name}, sigma={cfg.sigma.name})")
     if args.eps is not None:
         wk = weighted_kantorovich(band.m, band.M, args.eps)
         report["weighted_kantorovich"] = {"eps": args.eps, "value": wk}
@@ -294,12 +298,12 @@ def cmd_mean(args) -> int:
     mats = [read_sym_matrix(p) for p in args.matrices]
     if len(mats) < 2:
         raise ValueError("mean needs at least two matrix files")
+    sigma = build_config(args).sigma
     if len(mats) == 2:
-        sigma = parse_mean(args.sigma) if args.sigma else StatementConfig.sigma
         result = mean(sigma, mats[0], mats[1])
         label = sigma.name
     else:
-        if args.sigma and parse_mean(args.sigma).name != "geometric":
+        if sigma.name != "geometric":
             raise ValueError("only the geometric mean is defined for three or more matrices")
         given = {"tol": args.tol, "max_iter": args.max_iter}
         result = alm_mean(mats, **{k: v for k, v in given.items() if v is not None})
@@ -380,20 +384,17 @@ def cmd_trials(args) -> int:
 
 
 def cmd_falsify(args) -> int:
-    cfg = build_config(args)
+    known = KNOWN_WITNESSES.get(args.statement) if args.seed_known else None
+    # a bundled witness is replayed in its own band, at its own p
+    cfg = build_config(args, band=getattr(known, "band", None), p=getattr(known, "p", None))
     initial = None
     skip_initial = bool(args.skip_band_check)
     if args.seed_known:
-        known = KNOWN_WITNESSES.get(args.statement)
         if known is None:
             have = ", ".join(sorted(KNOWN_WITNESSES))
             raise ValueError(
                 f"no bundled witness for {args.statement!r}; available: {have}"
             )
-        if args.band is None:
-            cfg = replace(cfg, band=known.band)
-        if args.p is None and known.p is not None:
-            cfg = replace(cfg, p=known.p)
         initial = list(known.matrices)
         skip_initial = True
     elif args.matrices:
@@ -504,38 +505,31 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="constant table for a band")
-    p.add_argument("--band", default=None, help="spectral band m:M (default 1:2)")
-    p.add_argument("--sigma", default=None, help="mean for the alpha constant")
-    p.add_argument("--f", default=None, help="scalar function f for the gamma bundle")
-    p.add_argument("--g", default=None, help="scalar function g for the gamma bundle")
+    _add_config_flags(p, ("band", "sigma", "f", "g", "n_matrices"))
     p.add_argument("--eps", type=float, default=None, help="weight for the weighted constant")
-    p.add_argument("--n-matrices", type=int, default=None, help="matrix count for the power coefficient")
     _add_report_flags(p)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("mean", help="evaluate a mean on matrix files")
     p.add_argument("matrices", nargs="+", help="matrix files (two for a binary mean, more for the geometric)")
-    p.add_argument("--sigma", default=None, help="mean to use for two matrices")
+    _add_config_flags(p, ("sigma",))
     p.add_argument("--tol", type=float, default=None, help="fixed-point tolerance for three or more")
     p.add_argument("--max-iter", type=int, default=None, help="fixed-point iteration cap")
     _add_report_flags(p)
     p.set_defaults(func=cmd_mean)
 
     p = sub.add_parser("check", help="evaluate one statement once")
-    p.add_argument("statement", help="statement id, e.g. ando; see README for the catalog")
     p.add_argument("--matrices", nargs="+", default=None, help="matrix files; omitted means a seeded draw")
     p.add_argument("--skip-band-check", action="store_true", help="skip band validation of explicit matrices")
-    _add_config_flags(p)
+    _add_statement_flags(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("trials", help="randomized verification of one statement")
-    p.add_argument("statement", help="statement id")
     p.add_argument("--trials", type=int, default=100, help="number of seeded trials")
-    _add_config_flags(p)
+    _add_statement_flags(p)
     p.set_defaults(func=cmd_trials)
 
     p = sub.add_parser("falsify", help="search for a violating input")
-    p.add_argument("statement", help="statement id")
     p.add_argument("--budget", type=int, default=1000, help="number of random draws")
     p.add_argument("--matrices", nargs="+", default=None, help="matrix files to try first")
     p.add_argument("--skip-band-check", action="store_true", help="skip band validation of explicit matrices")
@@ -544,7 +538,7 @@ def _make_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="start from the bundled witness for this statement (Q, q2, q2sq)",
     )
-    _add_config_flags(p)
+    _add_statement_flags(p)
     p.set_defaults(func=cmd_falsify)
 
     p = sub.add_parser("reproduce", help="re-derive the bundled known violations")

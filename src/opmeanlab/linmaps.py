@@ -21,6 +21,7 @@ import numpy as np
 from .symmat import (
     DimensionMismatchError,
     SymMatrix,
+    _NonFiniteError,
     _as_generator,
     _floored,
     _haar_frame,
@@ -183,15 +184,16 @@ def is_unital(phi: MapDescriptor, dim: int | None = None) -> bool:
 
     ``dim`` chooses the probe dimension for dimension-agnostic maps
     (default 2); fixed-dimension maps ignore it in favor of their own.  An
-    image that overflows is not ``I``.
+    image that overflows, in any part of the map, is not ``I``.
     """
     d = phi.input_dim
     if d is None:
         d = dim if dim is not None else 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        image = phi.action(SymMatrix.identity(d).data)
-        gap = np.abs((image + image.mT) / 2.0 - np.eye(image.shape[-1]))
-    return bool(np.max(gap) <= _UNITAL_TOL)
+    try:
+        image = _apply_map(phi, SymMatrix.identity(d).data)
+    except _NonFiniteError:
+        return False
+    return bool(np.max(np.abs(image - np.eye(image.shape[-1]))) <= _UNITAL_TOL)
 
 
 def unitalize(phi: MapDescriptor, dim: int | None = None) -> MapDescriptor:

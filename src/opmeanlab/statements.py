@@ -51,7 +51,6 @@ from .kubo_ando import (
     ARITHMETIC,
     GEOMETRIC,
     MeanDescriptor,
-    _alm,  # called through _geometric_means; tests/test_engine.py patches both names
     _binary_mean,
     _geometric_means,
     _harmonic_arithmetic,

@@ -76,6 +76,10 @@ class EigenConvergenceError(RuntimeError):
     """The symmetric eigensolver failed to converge."""
 
 
+class _NonFiniteError(ValueError):
+    """A matrix entry is not finite (raised by :func:`_symmetrize`)."""
+
+
 class SymMatrix:
     """A dense real symmetric matrix.
 
@@ -209,7 +213,7 @@ def _symmetrize(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         s = (x + x.mT) / 2.0
     if not np.isfinite(s).all():
-        raise ValueError("matrix entries must be finite")
+        raise _NonFiniteError("matrix entries must be finite")
     return s
 
 

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import re
 import subprocess
@@ -9,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import opmeanlab as ol
-from opmeanlab import SpectralBand, SymMatrix, kubo_ando
+from opmeanlab import SpectralBand, SymMatrix, cli, kubo_ando
 from opmeanlab.cli import _config_dict, main, parse_band, parse_function, parse_map, parse_mean
 from opmeanlab.matio import write_sym_matrix
 
@@ -488,6 +490,44 @@ class TestReproduceCommand:
         assert report["ok"] is True
         assert {c["statement"] for c in report["cases"]} == {"Q", "q2sq"}
         assert report["yamazaki"]["coefficient"] == 1.265625
+
+
+_TEXT_FLAGS = ("band", "sigma", "tau", "phi", "psi", "f", "g")
+
+
+class TestOneDefaultRule:
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["constants", "--eps", "0.3"], ("band", "sigma", "f", "g")),
+            (["mean", "A", "B"], ("sigma",)),
+            (["check", "t22-a", "--seed", "1"], _TEXT_FLAGS),
+            (["trials", "ando", "--trials", "5"], _TEXT_FLAGS),
+            (["falsify", "q2sq", "--budget", "3"], _TEXT_FLAGS),
+            # the bundled pair is replayed in its own band [0.4, 3], also under --band ''
+            (["falsify", "q2sq", "--seed-known", "--budget", "3"], _TEXT_FLAGS),
+        ],
+        ids=["constants", "mean", "check", "trials", "falsify", "falsify-seed-known"],
+    )
+    def test_empty_flag_counts_as_omitted(self, argv, flags, tmp_path, capsys):
+        files = {"A": tmp_path / "a.txt", "B": tmp_path / "b.txt"}
+        write_sym_matrix(files["A"], SymMatrix.diagonal([1.0, 4.0]))
+        write_sym_matrix(files["B"], SymMatrix([[2.0, 0.5], [0.5, 1.0]]))
+        argv = [str(files.get(word, word)) for word in argv] + ["--format", "json"]
+        omitted = run_cli(capsys, *argv)
+        assert omitted[0] in (0, 1) and omitted[2] == ""
+        for flag in flags:
+            assert run_cli(capsys, *argv, f"--{flag}", "") == omitted, flag
+
+    def test_every_config_field_has_one_flag(self):
+        names = [f.name for f in dataclasses.fields(ol.StatementConfig) if f.name != "statement_id"]
+        assert sorted(cli._FLAGS) == sorted(names)
+        assert sorted(_config_dict(ol.StatementConfig("ando"))) == sorted(["statement", *names])
+        subparsers = next(a for a in cli._make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for command in ("check", "trials", "falsify"):
+            options = [opt for a in subparsers.choices[command]._actions for opt in a.option_strings]
+            for name in names:
+                assert options.count("--" + name.replace("_", "-")) == 1, (command, name)
 
 
 def test_module_entry_point():

@@ -141,7 +141,6 @@ def _force_alm_cap(monkeypatch, cap=2):
     original = kubo_ando._alm
     capped = lambda tuples, tol, max_iter: original(tuples, tol, cap)
     monkeypatch.setattr(kubo_ando, "_alm", capped)
-    monkeypatch.setattr(statements, "_alm", capped)
 
 
 def _broken_solver(*args, **kwargs):

@@ -168,6 +168,20 @@ class TestUnitality:
         assert ol.is_unital(fixed)
         assert psi.input_dim is None or ol.is_unital(psi, dim=3)
 
+    def test_overflowing_part_is_not_unital(self):
+        # the first part's image of I overflows; before, its non-finite
+        # check raised out of is_unital instead of answering
+        phi = ol.convex_combination([(0.5, ol.scale(1.5e308)), (0.5, ol.identity_map())])
+        assert ol.is_unital(phi, dim=2) is False
+
+    def test_unital_convex_combination(self):
+        phi = ol.convex_combination([(0.25, ol.normalized_trace()), (0.75, ol.pinching([[0], [1]]))])
+        assert ol.is_unital(phi, dim=2) is True
+
+    def test_empty_dimension_still_raises(self):
+        with pytest.raises(ol.DimensionMismatchError):
+            ol.is_unital(ol.identity_map(), dim=0)
+
 
 class TestCatalog:
     def test_catalog_contents(self):
