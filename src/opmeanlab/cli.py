@@ -54,6 +54,7 @@ from .kubo_ando import (
     AlmConvergenceError,
     GEOMETRIC,
     HARMONIC,
+    _check_alm_limits,
     alm_mean,
     mean,
     weighted_arithmetic,
@@ -299,14 +300,17 @@ def cmd_mean(args) -> int:
     if len(mats) < 2:
         raise ValueError("mean needs at least two matrix files")
     sigma = build_config(args).sigma
+    given = {"tol": args.tol, "max_iter": args.max_iter}
+    limits = {k: v for k, v in given.items() if v is not None}
     if len(mats) == 2:
+        # the binary mean takes no stopping rule, but a bad one is refused as for three
+        _check_alm_limits(**limits)
         result = mean(sigma, mats[0], mats[1])
         label = sigma.name
     else:
         if sigma.name != "geometric":
-            raise ValueError("only the geometric mean is defined for three or more matrices")
-        given = {"tol": args.tol, "max_iter": args.max_iter}
-        result = alm_mean(mats, **{k: v for k, v in given.items() if v is not None})
+            raise ValueError("only the unweighted geometric mean is defined for three or more matrices")
+        result = alm_mean(mats, **limits)
         label = f"geometric ({len(mats)} matrices)"
     report = {
         "mean": label,

@@ -460,6 +460,14 @@ def _geometric_means(x: np.ndarray) -> np.ndarray:
     return _symmetrize(_alm(tuples, _ALM_TOL, _ALM_MAX_ITER).reshape(x.shape[:-3] + x.shape[-2:]))
 
 
+def _check_alm_limits(tol: float = _ALM_TOL, max_iter: int = _ALM_MAX_ITER):
+    """Reject a stopping rule that :func:`alm_mean` cannot run."""
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be a nonnegative number, got {tol!r}")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+
+
 def alm_mean(
     mats: Sequence[SymMatrix], tol: float = _ALM_TOL, max_iter: int = _ALM_MAX_ITER
 ) -> SymMatrix:
@@ -473,10 +481,7 @@ def alm_mean(
     leave-one-out sub-tuples of a level are swept in lock-step as one stack,
     and each of them converges on its own, exactly as it would alone.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"tolerance must be a nonnegative number, got {tol!r}")
-    if not max_iter >= 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    _check_alm_limits(tol, max_iter)
     mats = list(mats)
     if not mats:
         raise ValueError("need at least one matrix")
