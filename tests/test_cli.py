@@ -121,6 +121,16 @@ class TestConstantsCommand:
         assert err == "error: numeric overflow: yamazaki coefficient K^(19999/2) is not finite\n"
 
 
+def _on_two_and_three_files(*values):
+    """``(names, value)`` cases on the golden files A, B, C and on A, B; a
+    three-file case is named by its value alone."""
+    return [
+        pytest.param(names, value, id=prefix + value)
+        for prefix, names in (("", "ABC"), ("two-files-", "AB"))
+        for value in values
+    ]
+
+
 class TestMeanCommand:
     def test_binary_geometric(self, tmp_path, capsys):
         fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -193,23 +203,31 @@ class TestMeanCommand:
         code, _, err = run_cli(capsys, "mean", str(p))
         assert code == 2
 
-    @pytest.mark.parametrize("tol", ["nan", "-1e-12"])
-    def test_bad_tolerance_is_one_line_error(self, tol, capsys):
-        # a NaN tolerance used to stop the fixed-point sweep after one pass
-        paths = [str(Path(__file__).parent / "golden" / f"{name}.txt") for name in "ABC"]
+    @pytest.mark.parametrize("names, tol", _on_two_and_three_files("nan", "-1e-12"))
+    def test_bad_tolerance_is_one_line_error(self, names, tol, capsys):
+        # a NaN tolerance used to stop the fixed-point sweep after one pass,
+        # and two files used to ignore it
+        paths = [str(Path(__file__).parent / "golden" / f"{name}.txt") for name in names]
         code, out, err = run_cli(capsys, "mean", *paths, f"--tol={tol}")
         assert code == 2
         assert out == ""
         assert err == f"error: tolerance must be a nonnegative number, got {float(tol)!r}\n"
 
-    @pytest.mark.parametrize("cap", ["0", "-1"])
-    def test_bad_iteration_cap_is_one_line_error(self, cap, capsys):
-        # a cap below one used to be reported as non-convergence after 0 sweeps
-        paths = [str(Path(__file__).parent / "golden" / f"{name}.txt") for name in "ABC"]
+    @pytest.mark.parametrize("names, cap", _on_two_and_three_files("0", "-1"))
+    def test_bad_iteration_cap_is_one_line_error(self, names, cap, capsys):
+        # a cap below one used to be reported as non-convergence after 0
+        # sweeps, and two files used to ignore it
+        paths = [str(Path(__file__).parent / "golden" / f"{name}.txt") for name in names]
         code, out, err = run_cli(capsys, "mean", *paths, f"--max-iter={cap}")
         assert code == 2
         assert out == ""
         assert err == f"error: max_iter must be at least 1, got {int(cap)}\n"
+
+    def test_multi_rejects_weighted_geometric(self, capsys):
+        paths = [str(Path(__file__).parent / "golden" / f"{name}.txt") for name in "ABC"]
+        code, out, err = run_cli(capsys, "mean", *paths, "--sigma", "geometric:0.5")
+        assert (code, out) == (2, "")
+        assert err == "error: only the unweighted geometric mean is defined for three or more matrices\n"
 
 
 class TestCheckCommand:

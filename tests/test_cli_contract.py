@@ -4,17 +4,61 @@ Every call either succeeds (0), reports a verdict against the expectation
 (1) with nothing on stderr, or rejects its input (2) with exactly one
 ``error:`` line on stderr.  No exception and no numpy warning may escape,
 so the calls run with ``RuntimeWarning`` raised as an error.
+
+``REJECTED`` lists commands that must exit 2.  The property test takes each
+as an example, and each also runs as its own process under the default
+warning filters.
 """
 
 import contextlib
 import io
+import subprocess
+import sys
 import warnings
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opmeanlab.cli import main
 from opmeanlab.statements import statement_ids
+
+#: Commands that must exit 2 with one ``error:`` line.  Each overflows or
+#: meets the floor somewhere: in a scaled right side, in seeded draws near the
+#: float maximum, in a constant past the float range, in a gap determinant, in
+#: a mean whose A^-1/2 B A^-1/2 is at or below the floor, in a map image, a
+#: unitality probe, a spectral calculus and a multi-matrix average, and in a
+#: statement's constant f(M) g(1/m), its p-th power or a factor M^p; a
+#: weighted Kantorovich constant that cancels, an infinite M/m, a chord of g
+#: that is not finite, and the concavity and increase probes near the float
+#: maximum.  The process timeout fails an overflow that takes linear time.
+REJECTED = (
+    "check c27 --band 0.5:2 --p 1000 --q 1000 --seed 1 --phi trace --psi trace",
+    "check ando --band 1e308:1.5e308 --seed 1",
+    "constants --n-matrices 20000",
+    "check ps-1.1 --band 1e200:1e201 --seed 1",
+    "constants --band 1e-200:1e-199",
+    "check aahh --band 1e160:1e161 --seed 1",
+    "constants --n-matrices 1000000000000",
+    "check ando --band 1:1e14 --seed 1",
+    "check ando --phi scale:1e308 --seed 1",
+    "check t22-a --phi scale:1e308 --seed 1",
+    "check q2 --band 1:100 --p 154 --seed 1",
+    "check ragm --band 5e307:5.5e307 --n-matrices 4 --seed 1",
+    "check c23-b --band 1:2 --p 2000 --seed 1",
+    "check c27 --band 1:2 --p 1100 --q 0 --seed 1",
+    "check c-multi --f power:200 --band 1:40 --seed 1",
+    "check t22-a --f power:300 --band 1:20 --seed 2",
+    "check t22-a --band 1e-200:1e200 --seed 1",
+    "constants --band 1e-13:10 --eps 1e-300",
+    "constants --band 2:3 --eps 0.9999999999999999",
+    "check mond2 --band 1e-160:1e160 --seed 0",
+    "constants --band 1e-300:1e7 --g power:200",
+    "constants --band 1:1e7 --g expm1",
+    "check mp-gamma --band 3:1e160 --g expm1 --seed 3",
+    "trials mp-gamma --band 1e160:1.7e308 --seed 1 --dim 2 --trials 8 --sigma harmonic:0.999999 --g power:0.5",
+    "falsify mp-gamma --band 3:1.7e308 --seed 4 --dim 1 --budget 8 --g expm1",
+)
 
 ENDPOINTS = (1e-320, 1e-300, 1e-160, 1e-13, 0.4, 1, 2, 3, 1e7, 1e154, 1e160, 1e300, 1e308, 1.7e308)
 FUNCTIONS = ("identity", "expm1", "power:0", "power:0.5", "power:2", "power:200", "power:1e300",
@@ -56,20 +100,15 @@ def _call(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _rejected_as_examples(test):
+    for command in REJECTED:
+        test = example(command.split())(test)
+    return test
+
+
 @settings(max_examples=700, deadline=None, derandomize=True)
 @given(ARGV)
-# weighted Kantorovich: the float formula cancels to 0 near eps = 0 and eps = 1
-@example("constants --band 1e-13:10 --eps 1e-300".split())
-@example("constants --band 2:3 --eps 0.9999999999999999".split())
-# M/m is infinite
-@example("check mond2 --band 1e-160:1e160 --seed 0".split())
-# the probes' midpoints and steps overflow near the float maximum
-@example("trials mp-gamma --band 1e160:1.7e308 --seed 1 --dim 2 --trials 8 --sigma harmonic:0.999999 --g power:0.5".split())
-@example("falsify mp-gamma --band 3:1.7e308 --seed 4 --dim 1 --budget 8 --g expm1".split())
-# g overflows at the top of the band
-@example("constants --band 1e-300:1e7 --g power:200".split())
-@example("constants --band 1:1e7 --g expm1".split())
-@example("check mp-gamma --band 3:1e160 --g expm1 --seed 3".split())
+@_rejected_as_examples
 def test_every_call_keeps_the_exit_code_contract(argv):
     code, out, err = _call(argv)
     assert code in (0, 1, 2)
@@ -77,3 +116,15 @@ def test_every_call_keeps_the_exit_code_contract(argv):
         assert err.count("\n") == 1 and err.startswith("error:"), err
     else:
         assert err == ""
+
+
+@pytest.mark.parametrize("command", REJECTED)
+def test_console_script_rejects_with_one_error_line(command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "opmeanlab.cli", *command.split()],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error:"), proc.stderr
