@@ -28,6 +28,7 @@ import json
 import platform
 import sys
 import time
+from dataclasses import asdict
 from operator import attrgetter
 
 import numpy as np
@@ -35,6 +36,7 @@ import numpy as np
 from . import __version__
 from .constants import (
     MPConstants,
+    _ratio_interval,
     kantorovich,
     mp_alpha,
     mp_gamma,
@@ -148,7 +150,7 @@ def parse_function(text: str):
 #: malformed one is a usage error; :func:`build_config` reads the rest, the
 #: maps at ``--dim``.
 _FLAGS = {
-    "band": (parse_band, lambda band: {"m": band.m, "M": band.M}, "spectral band m:M (default 1:2)"),
+    "band": (parse_band, asdict, "spectral band m:M (default 1:2)"),
     "dim": (int, int, "matrix dimension for drawn inputs"),
     "sigma": (parse_mean, attrgetter("name"), "mean sigma, e.g. geometric or arithmetic:0.3"),
     "tau": (parse_mean, attrgetter("name"), "mean tau (same grammar as --sigma)"),
@@ -212,14 +214,7 @@ def _config_dict(cfg: StatementConfig) -> dict:
 
 def _constants_dict(value) -> object:
     if isinstance(value, MPConstants):
-        return {
-            "mu_h": value.mu_h,
-            "nu_h": value.nu_h,
-            "alpha": value.alpha,
-            "mu_g": value.mu_g,
-            "nu_g": value.nu_g,
-            "gamma": value.gamma,
-        }
+        return {k: v for k, v in asdict(value).items() if k != "band"}
     return value
 
 
@@ -259,7 +254,7 @@ def cmd_constants(args) -> int:
     cfg = build_config(args)
     band = cfg.band
     report = {
-        "band": {"m": band.m, "M": band.M},
+        "band": asdict(band),
         "kantorovich": kantorovich(band),
         "polya_szego": polya_szego_coeff(band),
     }
@@ -269,8 +264,8 @@ def cmd_constants(args) -> int:
         f"polya_szego        {report['polya_szego']:.12g}",
     ]
     if args.sigma:
-        alpha = mp_alpha(cfg.sigma.h, band)  # checks M/m before the chord is built
-        mu_h, nu_h = secant_coeffs(cfg.sigma.h, band.m / band.M, band.M / band.m)
+        alpha = mp_alpha(cfg.sigma.h, band)
+        mu_h, nu_h = secant_coeffs(cfg.sigma.h, *_ratio_interval(band))
         report["sigma"] = cfg.sigma.name
         report["mu_h"] = mu_h
         report["nu_h"] = nu_h
@@ -488,7 +483,7 @@ def cmd_reproduce(args) -> int:
     report = {
         "cases": cases,
         "yamazaki": {
-            "band": {"m": YAMAZAKI_SHARPNESS_BAND.m, "M": YAMAZAKI_SHARPNESS_BAND.M},
+            "band": asdict(YAMAZAKI_SHARPNESS_BAND),
             "n": YAMAZAKI_SHARPNESS_N,
             "coefficient": ycoeff,
             "crude_ratio": crude,

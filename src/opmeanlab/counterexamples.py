@@ -13,7 +13,7 @@ determinants are reproduced to the tolerances recorded here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .symmat import SpectralBand, SymMatrix
 
@@ -32,42 +32,32 @@ class KnownWitness:
     det_tolerance: float
 
 
-_SQUARED_PAIR = (
-    SymMatrix([[0.0688, -0.1082], [-0.1082, 0.1998]]),
-    SymMatrix([[0.7489, 0.1237], [0.1237, 0.4212]]),
+_Q2SQ = KnownWitness(
+    statement_id="q2sq",
+    matrices=(
+        SymMatrix([[1.3096, 0.4414], [0.4414, 0.6204]]),
+        SymMatrix([[0.7062, 1.1641], [1.1641, 2.1050]]),
+    ),
+    band=SpectralBand(0.4, 3.0),
+    p=None,
+    reference_det=-0.4111,
+    det_tolerance=5e-3,
 )
-
-_POWER_TWO_PAIR = (
-    SymMatrix([[1.3096, 0.4414], [0.4414, 0.6204]]),
-    SymMatrix([[0.7062, 1.1641], [1.1641, 2.1050]]),
-)
-
 
 KNOWN_WITNESSES = {
     "Q": KnownWitness(
         statement_id="Q",
-        matrices=_SQUARED_PAIR,
+        matrices=(
+            SymMatrix([[0.0688, -0.1082], [-0.1082, 0.1998]]),
+            SymMatrix([[0.7489, 0.1237], [0.1237, 0.4212]]),
+        ),
         band=SpectralBand(1.0, 2.0),
         p=None,
         reference_det=-0.0014,
         det_tolerance=2e-3,
     ),
-    "q2sq": KnownWitness(
-        statement_id="q2sq",
-        matrices=_POWER_TWO_PAIR,
-        band=SpectralBand(0.4, 3.0),
-        p=None,
-        reference_det=-0.4111,
-        det_tolerance=5e-3,
-    ),
-    "q2": KnownWitness(
-        statement_id="q2",
-        matrices=_POWER_TWO_PAIR,
-        band=SpectralBand(0.4, 3.0),
-        p=2.0,
-        reference_det=-0.4111,
-        det_tolerance=5e-3,
-    ),
+    "q2sq": _Q2SQ,
+    "q2": replace(_Q2SQ, statement_id="q2", p=2.0),
 }
 
 #: Band and matrix count at which the multi-matrix reverse constant stays a

@@ -480,6 +480,13 @@ def alm_mean(
     norm; the returned value is the average of the converged tuple.  The
     leave-one-out sub-tuples of a level are swept in lock-step as one stack,
     and each of them converges on its own, exactly as it would alone.
+
+    Cost: one sweep at ``n`` matrices runs one mean of ``n - 1`` per member,
+    so with ``k_n`` sweeps at level ``n`` the count of binary means is
+    ``C(n) = n k_n C(n - 1)`` with ``C(2) = 1``, that is ``n!/2`` times the
+    product of ``k_3 .. k_n``.  On draws in the band [1, 4] at the default
+    tolerance, ``k_3`` is about 40 and ``k_4`` about 26: 120 binary means at
+    ``n = 3`` and about 12,500 at ``n = 4``.
     """
     _check_alm_limits(tol, max_iter)
     mats = list(mats)

@@ -202,10 +202,6 @@ class StatementInfo:
     unital: tuple = ()
     hypotheses: tuple = ()
 
-    @property
-    def requires_unital(self) -> bool:
-        return bool(self.unital)
-
 
 # Stack layers.  Each mirrors one SymMatrix-valued step of a statement's
 # formula and symmetrizes exactly where that step's SymMatrix did.

@@ -39,7 +39,7 @@ class TestCatalog:
         assert multi == {"c-multi", "ragm", "yamazaki"}
 
     def test_unital_requirements(self):
-        need = {i.statement_id for i in ol.catalog() if i.requires_unital}
+        need = {i.statement_id for i in ol.catalog() if i.unital}
         assert need == {
             "t22-a", "t22-b", "t22-c", "t22-d",
             "c23-a", "c23-b", "c23-c", "c23-d",
