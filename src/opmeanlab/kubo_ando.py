@@ -468,6 +468,16 @@ def _check_alm_limits(tol: float = _ALM_TOL, max_iter: int = _ALM_MAX_ITER):
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
 
 
+#: The most matrices :func:`alm_mean` takes; see its cost model.
+_ALM_MAX_MATRICES = 6
+
+
+def _check_alm_count(n: int):
+    """Refuse more matrices than the multi-matrix mean takes."""
+    if n > _ALM_MAX_MATRICES:
+        raise ValueError(f"the multi-matrix mean takes at most {_ALM_MAX_MATRICES} matrices, got {n}")
+
+
 def alm_mean(
     mats: Sequence[SymMatrix], tol: float = _ALM_TOL, max_iter: int = _ALM_MAX_ITER
 ) -> SymMatrix:
@@ -486,10 +496,14 @@ def alm_mean(
     ``C(n) = n k_n C(n - 1)`` with ``C(2) = 1``, that is ``n!/2`` times the
     product of ``k_3 .. k_n``.  On draws in the band [1, 4] at the default
     tolerance, ``k_3`` is about 40 and ``k_4`` about 26: 120 binary means at
-    ``n = 3`` and about 12,500 at ``n = 4``.
+    ``n = 3`` and about 12,500 at ``n = 4``.  One seeded ``check`` of
+    ``ragm`` at ``d = 3`` on that band took 0.2 s at ``n = 4``, 1.2 s at
+    ``n = 5`` and 24-27 s at ``n = 6``; ``n = 7`` would take about 40 times
+    that, so more than ``_ALM_MAX_MATRICES`` matrices are refused.
     """
     _check_alm_limits(tol, max_iter)
     mats = list(mats)
+    _check_alm_count(len(mats))
     if not mats:
         raise ValueError("need at least one matrix")
     if len({m.dim for m in mats}) > 1:

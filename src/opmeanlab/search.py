@@ -8,17 +8,13 @@ used outside its scope is reported as exactly that.  It takes the worst
 greedy random walk around a witness of either, clamping every candidate's
 spectrum back into the band, and only ever accepts strictly more negative gaps.
 
-The walk evaluates its steps in speculative windows: the candidates of the
-next few steps are all formed from the current incumbent and evaluated as
-one stack by the same builders, and the first strictly better one is
-accepted; the rest of the window is discarded and the walk resumes at the
-step after it.  A window stops before its first out-of-band candidate,
-which then opens the next window and raises there.  A stack that raises
-does not say which step raised, so the window's first step is taken again
-alone, through the same code, and the walk goes on from the step after it.
-Every step's bump is drawn once, in step order, so each candidate, verdict
-and error is bitwise the one the step-by-step walk (one
-:func:`~opmeanlab.statements.check` per step) gives.
+The walk takes its steps in windows.  Each step is one candidate, a bump
+of the incumbent; a window's candidates share one incumbent and are
+evaluated as one stack, and the window's most negative violating gap (the
+earliest on ties) replaces the incumbent only when it is strictly better.
+A window spends all its steps around one incumbent, so a short walk from
+a weak start gains less per step than one that moves at each better step,
+but its steps cost less (the README's Tests section has measurements).
 """
 
 from __future__ import annotations
@@ -30,18 +26,18 @@ import numpy as np
 
 from .statements import (
     _BLOCK,
-    BandViolationError,
     StatementConfig,
     Witness,
     _as_matrices,
     _input_stack,
+    _require_in_band,
     _scan,
     check,
     get_statement,
     hypothesis_violations,
     unitality_violations,
 )
-from .symmat import SymMatrix, _apply_scalar, _first_out_of_band, _loewner, _symmetrize
+from .symmat import SymMatrix, _apply_scalar, _loewner, _symmetrize
 
 __all__ = ["Witness", "falsify", "refine", "revalidate"]
 
@@ -104,44 +100,20 @@ def _clamp_to_band(x: np.ndarray, band) -> np.ndarray:
     return _apply_scalar(_symmetrize(x), lambda w: np.clip(w, band.m, band.M))
 
 
-def _window(best: Witness, bumps: np.ndarray, radius: float, info, consts) -> tuple:
-    """Steps ``bumps`` of the walk from ``best``, evaluated as one stack by
-    the statement ``info`` with its constants ``consts``.
-
-    Returns the number of steps taken (through the first acceptance, up to
-    the first out-of-band candidate, or all of them) and the incumbent after
-    them; a first candidate out of band raises.  When the stack raises,
-    :func:`refine` takes the first step again as a window of one.
-    """
-    cfg = best.config
-    x = np.array([m.data for m in best.matrices])
-    c = _clamp_to_band(x + radius * bumps.reshape((len(bumps),) + x.shape), cfg.band)
-    inside, report = _first_out_of_band(c, cfg.band)
-    if not inside:
-        raise BandViolationError(report.offending_summary())
-    v = _loewner(*info.build(cfg, consts, c[:inside]))
-    better = np.flatnonzero(~v.holds & (v.gap_min_eig < best.gap_min_eig))
-    if not better.size:
-        return inside, best
-    j = int(better[0])
-    accepted = _as_matrices(c[j].copy())
-    gap, det = float(v.gap_min_eig[j]), float(v.gap_det[j])
-    return j + 1, replace(best, matrices=accepted, gap_min_eig=gap, gap_det=det, band_checked=True)
-
-
 def refine(witness: Witness, steps: int, radius: float, seed: int) -> Witness:
     """Greedy local search around a witness.
 
-    Each step perturbs every matrix of the current best by a symmetric
+    Each step perturbs every matrix of the incumbent by a symmetric
     Gaussian bump of size ``radius`` and clamps the spectrum back into the
-    configured band; a candidate replaces the incumbent only when its gap
-    eigenvalue is strictly more negative.  With ``radius == 0`` or
-    ``steps == 0`` the witness is returned unchanged.  Accepted candidates
-    are in band by construction, so refinement can only strengthen a
-    violation, never manufacture an out-of-band one.  The witness's count
-    and dimensions and the statement's constants are checked once, before
-    the first step.  Steps are evaluated in speculative windows (see the
-    module docstring).
+    configured band; the best candidate of a window (see the module
+    docstring) replaces the incumbent only when its gap eigenvalue is
+    strictly more negative.  With ``radius == 0`` or ``steps == 0`` the
+    witness is returned unchanged.  Accepted candidates are in band by
+    construction, so refinement can only strengthen a violation, never
+    manufacture an out-of-band one.  The witness's count and dimensions and
+    the statement's constants are checked once, before the first window.
+    ``steps`` counts candidates, so an error a candidate raises ends the
+    walk at that step.
     """
     if not math.isfinite(radius):
         raise ValueError(f"radius must be finite, got {radius!r}")
@@ -156,20 +128,18 @@ def refine(witness: Witness, steps: int, radius: float, seed: int) -> Witness:
     x = _input_stack(info, witness.matrices)
     consts = info.constants(cfg, len(x))
     rng = np.random.default_rng(seed)
-    pending = np.empty((0, x.size))
-    best = witness
-    done, width = 0, _FIRST_WINDOW
+    best, done, width = witness, 0, _FIRST_WINDOW
     while done < steps:
         size = min(width, steps - done)
-        if len(pending) < size:
-            pending = np.concatenate((pending, rng.standard_normal((size - len(pending), x.size))))
-        try:
-            taken, after = _window(best, pending[:size], radius, info, consts)
-        except Exception:
-            if size == 1:
-                raise
-            # the stack does not say which step raised; the first step alone does
-            taken, after = _window(best, pending[:1], radius, info, consts)
-        width = _FIRST_WINDOW if after is not best else min(2 * width, _BLOCK)
-        best, pending, done = after, pending[taken:], done + taken
+        c = _clamp_to_band(x + radius * rng.standard_normal((size,) + x.shape), cfg.band)
+        _require_in_band(c, cfg.band)
+        v = _loewner(*info.build(cfg, consts, c))
+        better = np.flatnonzero(~v.holds & (v.gap_min_eig < best.gap_min_eig))
+        if better.size:
+            j = int(better[np.argmin(v.gap_min_eig[better])])
+            x = c[j].copy()
+            best = replace(best, matrices=_as_matrices(x), gap_min_eig=float(v.gap_min_eig[j]),
+                           gap_det=float(v.gap_det[j]), band_checked=True)
+        width = _FIRST_WINDOW if better.size else min(2 * width, _BLOCK)
+        done += size
     return best

@@ -52,12 +52,14 @@ from .kubo_ando import (
     GEOMETRIC,
     MeanDescriptor,
     _binary_mean,
+    _check_alm_count,
     _geometric_means,
     _harmonic_arithmetic,
     is_between_harmonic_arithmetic,
 )
 from .linmaps import MapDescriptor, _apply_map, identity_map, is_unital
 from .symmat import (
+    DimensionMismatchError,
     SpectralBand,
     SpectrumDomainError,
     SymMatrix,
@@ -127,6 +129,10 @@ class StatementConfig:
     q: float = 1.0
     dim: int = 2
     n_matrices: int = 3
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise DimensionMismatchError("dimension must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -558,6 +564,7 @@ def _require_count(info: StatementInfo, n: int):
     if info.multi:
         if n < 2:
             raise ValueError(f"statement {info.statement_id!r} needs at least two matrices")
+        _check_alm_count(n)
     elif n != 2:
         raise ValueError(f"statement {info.statement_id!r} takes exactly two matrices")
 

@@ -229,6 +229,12 @@ class TestMeanCommand:
         assert (code, out) == (2, "")
         assert err == "error: only the unweighted geometric mean is defined for three or more matrices\n"
 
+    def test_multi_rejects_more_than_six_matrices(self, capsys):
+        paths = [str(Path(__file__).parent / "golden" / f"{name}.txt") for name in "ABCABCA"]
+        code, out, err = run_cli(capsys, "mean", *paths)
+        assert (code, out) == (2, "")
+        assert err == "error: the multi-matrix mean takes at most 6 matrices, got 7\n"
+
 
 class TestCheckCommand:
     def test_seeded_holds(self, capsys):
@@ -369,13 +375,13 @@ class TestCheckCommand:
         assert json.loads(out)["config"] == _config_dict(ol.StatementConfig("ando"))
 
     def test_exhausted_memory_is_one_line_error(self, capsys, monkeypatch):
-        # the n = 30 ALM recursion of this check cannot be allocated; the
-        # allocation failure is simulated, not provoked
+        # an ALM recursion that cannot be allocated; the allocation failure
+        # is simulated, not provoked
         def alm(*args):
             raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
         monkeypatch.setattr(kubo_ando, "_alm", alm)
-        code, out, err = run_cli(capsys, "check", "yamazaki", "--n-matrices", "30", "--dim", "2")
+        code, out, err = run_cli(capsys, "check", "yamazaki", "--n-matrices", "6", "--dim", "2")
         assert (code, out) == (2, "")
         assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
 

@@ -31,7 +31,9 @@ from opmeanlab.statements import statement_ids
 #: statement's constant f(M) g(1/m), its p-th power or a factor M^p; a
 #: weighted Kantorovich constant that cancels, an infinite M/m, a chord of g
 #: that is not finite, and the concavity and increase probes near the float
-#: maximum.  The process timeout fails an overflow that takes linear time.
+#: maximum.  The rest ask for a dimension below 1 or for more matrices than
+#: the multi-matrix mean takes, also in runs of no trials.  The process
+#: timeout fails an overflow that takes linear time.
 REJECTED = (
     "check c27 --band 0.5:2 --p 1000 --q 1000 --seed 1 --phi trace --psi trace",
     "check ando --band 1e308:1.5e308 --seed 1",
@@ -58,6 +60,11 @@ REJECTED = (
     "check mp-gamma --band 3:1e160 --g expm1 --seed 3",
     "trials mp-gamma --band 1e160:1.7e308 --seed 1 --dim 2 --trials 8 --sigma harmonic:0.999999 --g power:0.5",
     "falsify mp-gamma --band 3:1.7e308 --seed 4 --dim 1 --budget 8 --g expm1",
+    "trials ando --dim 0 --trials 0",
+    "falsify ando --dim 0 --budget 0",
+    "trials c-multi --dim 0 --trials 0",
+    "check ragm --n-matrices 7 --seed 1",
+    "falsify c-multi --n-matrices 7 --budget 0",
 )
 
 ENDPOINTS = (1e-320, 1e-300, 1e-160, 1e-13, 0.4, 1, 2, 3, 1e7, 1e154, 1e160, 1e300, 1e308, 1.7e308)

@@ -138,50 +138,42 @@ def _reference_clamp(arr, band):
     return SymMatrix((q * w) @ q.T)
 
 
-def _reference_refine(witness, steps, radius, seed, accepted=None, candidates=None):
-    """The walk one ``check`` per step, as ``refine`` took it before it
-    evaluated windows of steps; the accepted steps and every candidate's
-    bytes go to ``accepted`` and ``candidates`` if given."""
+def _reference_refine(witness, steps, radius, seed, windows=None, candidates=None):
+    """The walk of windows with one ``check`` per candidate.  Each window's
+    candidates are bumps of its incumbent, drawn in step order, and its
+    earliest most negative violating gap replaces the incumbent when it is
+    strictly better.  ``(size, accepted step or None)`` of each window and
+    every candidate's bytes go to ``windows`` and ``candidates`` if given."""
     cfg = witness.config
     rng = np.random.default_rng(seed)
-    best = witness
-    for step in range(steps):
-        candidate = []
-        for m in best.matrices:
-            bump = rng.standard_normal(m.data.shape)
-            candidate.append(_reference_clamp(m.data + radius * bump, cfg.band))
-        if candidates is not None:
-            candidates.append(np.array([m.data for m in candidate]).tobytes())
-        verdict = check(cfg, candidate, skip_band_check=False, enforce_hypotheses=False)
-        if not verdict.holds and verdict.gap_min_eig < best.gap_min_eig:
-            best = Witness(
-                config=cfg,
-                matrices=tuple(candidate),
-                gap_min_eig=verdict.gap_min_eig,
-                gap_det=verdict.gap_det,
-                seed=witness.seed,
-                trial_index=witness.trial_index,
-                band_checked=True,
-                hypothesis_violations=witness.hypothesis_violations,
-            )
-            if accepted is not None:
-                accepted.append(step)
+    best, done, width = witness, 0, search._FIRST_WINDOW
+    while done < steps:
+        size = min(width, steps - done)
+        window_best, hit = best, None
+        for step in range(done, done + size):
+            candidate = [
+                _reference_clamp(m.data + radius * rng.standard_normal(m.data.shape), cfg.band)
+                for m in best.matrices
+            ]
+            if candidates is not None:
+                candidates.append(np.array([m.data for m in candidate]).tobytes())
+            verdict = check(cfg, candidate, enforce_hypotheses=False)
+            if not verdict.holds and verdict.gap_min_eig < window_best.gap_min_eig:
+                window_best, hit = Witness(
+                    config=cfg,
+                    matrices=tuple(candidate),
+                    gap_min_eig=verdict.gap_min_eig,
+                    gap_det=verdict.gap_det,
+                    seed=witness.seed,
+                    trial_index=witness.trial_index,
+                    band_checked=True,
+                    hypothesis_violations=witness.hypothesis_violations,
+                ), step
+        if windows is not None:
+            windows.append((size, hit))
+        width = search._FIRST_WINDOW if hit is not None else min(2 * width, statements._BLOCK)
+        best, done = window_best, done + size
     return best
-
-
-def _windows(accepted, steps):
-    """(first step, size, accepted step or None) of each window ``refine``
-    evaluates, given the steps the walk accepts."""
-    out, step, width = [], 0, search._FIRST_WINDOW
-    while step < steps:
-        size = min(width, steps - step)
-        hit = next((a for a in accepted if step <= a < step + size), None)
-        out.append((step, size, hit))
-        if hit is None:
-            step, width = step + size, min(2 * width, statements._BLOCK)
-        else:
-            step, width = hit + 1, search._FIRST_WINDOW
-    return out
 
 
 def _bits(w):
@@ -203,6 +195,19 @@ def _assert_same_walk(witness, steps, radius, seed):
     return got
 
 
+def _spy_stacks(monkeypatch):
+    """The number of candidates in each stack ``refine`` evaluates."""
+    sizes = []
+    original = search._loewner
+
+    def spy(lhs, rhs):
+        sizes.append(len(lhs))
+        return original(lhs, rhs)
+
+    monkeypatch.setattr(search, "_loewner", spy)
+    return sizes
+
+
 # (config, falsify budget, falsify seed, bundled witness to start from)
 _WALKS = {
     "q2sq-d2": (Q2SQ, 150, 17, None),
@@ -219,7 +224,8 @@ _WALKS = {
 
 
 class TestRefineWindows:
-    """``refine`` against the one-step-at-a-time walk, bit for bit."""
+    """``refine`` against the walk of windows with one ``check`` per
+    candidate, bit for bit."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("name", list(_WALKS))
@@ -230,24 +236,38 @@ class TestRefineWindows:
         steps = 30 if cfg.statement_id == "c-multi" else 80
         _assert_same_walk(w, steps, 0.05, seed)
 
-    def test_acceptances_on_window_boundaries(self):
+    def test_acceptances_on_window_boundaries(self, monkeypatch):
+        # the incumbent moves only between windows: a window that accepts
+        # is followed by one of _FIRST_WINDOW steps, any other by one twice
+        # its size
         w = falsify(Q2SQ, budget=150, seed=17)
-        accepted = []
-        _reference_refine(w, 120, 0.05, 37, accepted=accepted)
-        windows = _windows(accepted, 120)
-        assert any(hit == first + size - 1 for first, size, hit in windows)
-        assert any(hit == first and size > search._FIRST_WINDOW for first, size, hit in windows)
+        windows = []
+        _reference_refine(w, 120, 0.05, 37, windows=windows)
+        assert any(hit is not None and size > search._FIRST_WINDOW for size, hit in windows)
+        assert sum(hit is not None for _, hit in windows) > 1
+        sizes = _spy_stacks(monkeypatch)
         _assert_same_walk(w, 120, 0.05, 37)
+        assert sizes == [size for size, _ in windows]
 
-    def test_long_walk_reaches_full_windows(self):
+    def test_long_walk_reaches_full_windows(self, monkeypatch):
         w = falsify(Q2SQ, budget=150, seed=17)
-        accepted = []
-        _reference_refine(w, 700, 0.02, 2, accepted=accepted)
-        assert any(size == statements._BLOCK and hit is not None for _, size, hit in _windows(accepted, 700))
+        windows = []
+        _reference_refine(w, 700, 0.02, 2, windows=windows)
+        assert any(size == statements._BLOCK and hit is not None for size, hit in windows)
+        sizes = _spy_stacks(monkeypatch)
         _assert_same_walk(w, 700, 0.02, 2)
+        assert sizes == [size for size, _ in windows]
         kw = ol.KNOWN_WITNESSES["q2sq"]
         out_of_band = falsify(Q2SQ, budget=1, seed=0, initial_matrices=kw.matrices)
         assert _assert_same_walk(out_of_band, 300, 0.02, 3) is out_of_band
+
+    @pytest.mark.parametrize("steps", [1, 8, 9, 100, 1000])
+    def test_stacks_are_bounded_and_count_the_steps(self, steps, monkeypatch):
+        w = falsify(Q2SQ, budget=150, seed=17)
+        sizes = _spy_stacks(monkeypatch)
+        refine(w, steps, 0.05, 4)
+        assert max(sizes) <= statements._BLOCK
+        assert sum(sizes) == steps
 
     @pytest.mark.parametrize("seed", [0, 1, 35])
     def test_single_step(self, seed):
@@ -274,19 +294,6 @@ class TestRefineWindows:
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
-def _spy_candidates(monkeypatch):
-    """Bytes of every candidate stack ``refine`` band-checks."""
-    seen = []
-    original = search._first_out_of_band
-
-    def spy(x, band):
-        seen.extend(group.tobytes() for group in x)
-        return original(x, band)
-
-    monkeypatch.setattr(search, "_first_out_of_band", spy)
-    return seen
-
-
 def _flag_out_of_band(monkeypatch, target):
     """Make the band check reject the one candidate with bytes ``target``."""
     original = symmat._first_out_of_band
@@ -299,7 +306,6 @@ def _flag_out_of_band(monkeypatch, target):
         return hits[0], symmat._band_report(np.linalg.eigvalsh(x[hits[0]]), edge, 0.0)
 
     monkeypatch.setattr(statements, "_first_out_of_band", flagging)
-    monkeypatch.setattr(search, "_first_out_of_band", flagging)
 
 
 def _fail_builder(monkeypatch, target):
@@ -316,24 +322,24 @@ def _fail_builder(monkeypatch, target):
 
 
 class TestRefineErrors:
-    """A window that raises is re-run one step at a time, so the step that
-    raises and its error are those of the step loop; a candidate after the
-    window's first acceptance is never the one that raises."""
-
-    def _walk(self):
-        w = falsify(Q2SQ, budget=150, seed=17)
-        accepted, candidates = [], []
-        _reference_refine(w, 120, 0.05, 37, accepted=accepted, candidates=candidates)
-        return w, accepted, candidates
+    """A candidate that fails the band check or makes a builder raise, at any
+    place in its window, raises the error the walk with one ``check`` per
+    candidate raises."""
 
     @pytest.mark.parametrize("fail", [_flag_out_of_band, _fail_builder], ids=["band", "builder"])
     def test_same_step_raises(self, fail, monkeypatch):
-        w, accepted, candidates = self._walk()
-        # the first step after an acceptance, and one inside a later window
-        for step in (accepted[0] + 1, accepted[1] - 3):
+        w = falsify(Q2SQ, budget=150, seed=17)
+        windows, candidates = [], []
+        _reference_refine(w, 120, 0.05, 37, windows=windows, candidates=candidates)
+        starts = np.cumsum([0] + [size for size, _ in windows])
+        # the first and the last candidate of a full-width window, one in
+        # the middle of another and the walk's last
+        wide = next(i for i, (size, _) in enumerate(windows) if size > search._FIRST_WINDOW)
+        steps = (starts[wide], starts[wide + 1] - 1, starts[-2] + windows[-1][0] // 2, starts[-1] - 1)
+        error = BandViolationError if fail is _flag_out_of_band else RuntimeError
+        for step in steps:
             with monkeypatch.context() as patch:
                 fail(patch, candidates[step])
-                error = BandViolationError if fail is _flag_out_of_band else RuntimeError
                 with pytest.raises(error) as want:
                     _reference_refine(w, 120, 0.05, 37)
                 with pytest.raises(error) as got:
@@ -342,7 +348,6 @@ class TestRefineErrors:
 
     @pytest.mark.parametrize("fail", [_flag_out_of_band, _fail_builder], ids=["band", "builder"])
     def test_one_step_walk_raises(self, fail, monkeypatch):
-        # a window of one that raises has no shorter window to fall back on
         w = falsify(Q2SQ, budget=150, seed=17)
         candidates = []
         _reference_refine(w, 1, 0.05, 37, candidates=candidates)
@@ -353,14 +358,3 @@ class TestRefineErrors:
         with pytest.raises(error) as got:
             refine(w, 1, 0.05, 37)
         assert str(got.value) == str(want.value)
-
-    @pytest.mark.parametrize("fail", [_flag_out_of_band, _fail_builder], ids=["band", "builder"])
-    def test_discarded_candidate_does_not_raise(self, fail, monkeypatch):
-        w, accepted, candidates = self._walk()
-        with monkeypatch.context() as patch:
-            seen = _spy_candidates(patch)
-            refine(w, 120, 0.05, 37)
-        discarded = [c for c in seen if c not in set(candidates)]
-        assert discarded
-        fail(monkeypatch, discarded[0])
-        _assert_same_walk(w, 120, 0.05, 37)
