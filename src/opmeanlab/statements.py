@@ -585,8 +585,7 @@ def _as_matrices(x: np.ndarray) -> tuple:
 
 
 def _require_in_band(x: np.ndarray, band: SpectralBand):
-    _, report = _first_out_of_band(x, band)
-    if report is not None:
+    if (report := _first_out_of_band(x, band)) is not None:
         raise BandViolationError(report.offending_summary())
 
 

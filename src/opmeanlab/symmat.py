@@ -437,19 +437,18 @@ def _band_report(eigenvalues, band: SpectralBand, tol: float) -> BandReport:
     return BandReport(band=band, tol=float(tol), checks=tuple(checks))
 
 
-def _first_out_of_band(x: np.ndarray, band: SpectralBand) -> tuple:
+def _first_out_of_band(x: np.ndarray, band: SpectralBand):
     """Band check of a ``(T, k, d, d)`` stack of ``T`` groups of ``k``
     matrices with one ``eigvalsh`` call, at :func:`validate_band`'s
-    tolerance.  Returns the index and report of the first group with an
-    eigenvalue outside the band, or ``(T, None)`` when every matrix is
-    inside."""
+    tolerance.  Returns the report of the first group with an eigenvalue
+    outside the band, or None when every matrix is inside."""
     tol = _order_tol(band.M)
     w = _eigh(x, vectors=False)
     outside = (w < band.m - tol) | (w > band.M + tol)
     if not outside.any():
-        return len(w), None
+        return None
     first = int(np.flatnonzero(outside.reshape(len(w), -1).any(axis=1))[0])
-    return first, _band_report(w[first], band, tol)
+    return _band_report(w[first], band, tol)
 
 
 def _as_generator(rng) -> np.random.Generator:

@@ -303,7 +303,7 @@ def _flag_out_of_band(monkeypatch, target):
         if not hits:
             return original(x, band)
         edge = SpectralBand(band.M, band.M)
-        return hits[0], symmat._band_report(np.linalg.eigvalsh(x[hits[0]]), edge, 0.0)
+        return symmat._band_report(np.linalg.eigvalsh(x[hits[0]]), edge, 0.0)
 
     monkeypatch.setattr(statements, "_first_out_of_band", flagging)
 
