@@ -14,7 +14,7 @@ evaluated as one stack, and the window's most negative violating gap (the
 earliest on ties) replaces the incumbent only when it is strictly better.
 A window spends all its steps around one incumbent, so a short walk from
 a weak start gains less per step than one that moves at each better step,
-but its steps cost less (the README's Tests section has measurements).
+but its steps cost no more (the README's Tests section has measurements).
 """
 
 from __future__ import annotations
