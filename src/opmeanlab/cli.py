@@ -28,7 +28,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from operator import attrgetter
 
 import numpy as np
@@ -74,7 +74,7 @@ from .linmaps import (
 )
 from .matio import format_sym_matrix, read_general_matrix, read_sym_matrix
 from .search import falsify
-from .statements import StatementConfig, check, run_trials, seeded_inputs
+from .statements import StatementConfig, check, get_statement, run_trials, seeded_inputs
 from .symmat import EigenConvergenceError, SpectralBand, validate_band
 
 __all__ = ["main"]
@@ -316,10 +316,26 @@ def cmd_mean(args) -> int:
     return 0
 
 
+def _fit_to_files(cfg: StatementConfig, args, mats) -> StatementConfig:
+    """``cfg`` with the dimension of the matrix files ``mats`` and, for a
+    multi-matrix statement, their count, so that the report shows what was
+    evaluated.  A ``--dim`` or ``--n-matrices`` given that disagrees raises."""
+    d, n = mats[0].dim, len(mats)
+    found = {"dim": (d, f"the files' {d}x{d} matrices")}
+    if get_statement(cfg.statement_id).multi:
+        found["n_matrices"] = (n, f"the {n} matrix files")
+    for name, (value, files) in found.items():
+        given = vars(args).get(name)
+        if given is not None and given != value:
+            raise ValueError(f"--{name.replace('_', '-')} {given} disagrees with {files}")
+    return replace(cfg, **{name: value for name, (value, _) in found.items()})
+
+
 def cmd_check(args) -> int:
     cfg = build_config(args)
     if args.matrices:
         mats = [read_sym_matrix(p) for p in args.matrices]
+        cfg = _fit_to_files(cfg, args, mats)
     else:
         # the seeded draw is trial 0 of a run seeded with --seed
         mats = list(seeded_inputs(cfg, args.seed, 0, 1)[0])

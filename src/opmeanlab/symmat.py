@@ -16,10 +16,16 @@ and give every matrix of a stack the bits it gets alone, so the trial
 engine can evaluate a block of trials in one call per layer.  The seeded
 draw of a block is bitwise one ``numpy.random.default_rng([seed, i])``
 per trial ``i``, without building those generators: the ``SeedSequence``
-hashing of the whole block runs as ``uint32`` arrays, the ``PCG64`` states
-follow from it in 128-bit integer arithmetic, and one reused generator is
-set to each state in turn.  NumPy keeps both algorithms fixed under its
-stream-compatibility policy (NEP 19).
+hashing of the whole block runs as ``uint32`` arrays, and the ``PCG64``
+start states follow from it in 128-bit arithmetic on ``uint64`` arrays.
+NumPy keeps both algorithms fixed under its stream-compatibility policy
+(NEP 19).  A large block is then drawn as arrays: every raw word of every
+trial from the ``PCG64`` jump-ahead, uniforms from the top 53 bits, and
+normals by the ziggurat's one-word fast path, with tables read from the
+installed numpy by probes once per process.  A trial with a normal off the
+fast path, and every small block, is drawn by one reused generator set to
+each trial's state in turn.  A self-check at first use draws one block both
+ways, and if they differ every block is drawn by the generator.
 """
 
 from __future__ import annotations
@@ -491,11 +497,23 @@ def random_spd_trials(
     Trial ``i`` draws from its own stream ``numpy.random.default_rng([seed,
     i])``: for each of its ``count`` matrices, a pin flag (probability one
     half) and then what :func:`random_spd` draws with that flag.  The
-    streams' seeds are hashed for the whole block at once, and one reused
-    generator is set to each stream's state in turn; the band maps, QR
-    factorizations, sign fixes and reassemblies run once over the stack.
-    Every matrix is bitwise the one :func:`random_spd` returns from the same
-    stream state.
+    streams' start states are computed for the whole block at once
+    (:func:`_pcg64_starts`); the band maps, QR factorizations, sign fixes
+    and reassemblies run once over the stack.  Every matrix is bitwise the
+    one :func:`random_spd` returns from the same stream state.
+
+    A block of ``T`` trials is drawn in one of two ways.  As arrays
+    (:func:`_fill_arrays`), all raw words of all trials come at once from
+    the streams' jump-ahead; each uniform is ``(word >> 11) 2^-53`` and each
+    normal the ziggurat's one-word fast path, which about 98.5% of normals
+    take.  A trial with any normal off that path, ``1 - 0.985^(count
+    dim^2)`` of them, is redrawn by the loop (:func:`_fill_loop`), which sets
+    one reused generator to each trial's start state and calls it per
+    matrix.  The loop also draws every block whose expected surplus of kept
+    over redrawn trials is below ``_ARRAY_SURPLUS``.  The fast-path tables
+    are read from the installed numpy once per process, at the first block
+    large enough, and a self-check then draws one block both ways; if they
+    differ, every block goes down the loop (:func:`_ziggurat`).
     """
     if dim < 1:
         raise DimensionMismatchError("dimension must be at least 1")
@@ -507,13 +525,14 @@ def random_spd_trials(
     u = np.empty((stop - start, count, dim + 1))
     g = np.empty((stop - start, count, dim, dim))
     if u.size:
-        bits = np.random.PCG64(0)
-        gen = np.random.Generator(bits)
-        for state, ut, gt in zip(_pcg64_states(seed, start, stop), u, g):
-            bits.state = state
-            for uk, gk in zip(ut, gt):
-                gen.random(out=uk)
-                gen.standard_normal(out=gk)
+        starts = _pcg64_starts(seed, start, stop)
+        rows = np.arange(len(u))
+        # the surplus is at most T, so a smaller block never reads the tables
+        if len(u) >= _ARRAY_SURPLUS and (tables := _ziggurat()) is not None:
+            kept = tables.fast_share ** (count * dim * dim)
+            if len(u) * (2.0 * kept - 1.0) >= _ARRAY_SURPLUS:
+                rows = _fill_arrays(u, g, starts, tables)
+        _fill_loop(u, g, starts, rows)
     return _conjugate_spectra(_band_spectra(u[..., 1:], band, u[..., 0] < 0.5), g)
 
 
@@ -533,11 +552,14 @@ def _band_spectra(u: np.ndarray, band: SpectralBand, pinned) -> np.ndarray:
 # and PCG64 derives its 128-bit state and increment from four of those.
 # NumPy keeps both algorithms fixed (NEP 19).
 _MASK32 = 0xFFFFFFFF
+_MASK52 = (1 << 52) - 1
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG64_INVERSE = pow(_PCG64_MULT, -1, 1 << 128)
 
 
 def _words32(n: int) -> list:
@@ -548,15 +570,15 @@ def _words32(n: int) -> list:
     return words
 
 
-def _pcg64_states(seed: int, start: int, stop: int):
-    """The ``PCG64.state`` of ``default_rng([seed, i])`` for each ``i`` in
-    ``start .. stop - 1``.  Indices that share their words above the lowest
-    are hashed together, as one ``(words, indices)`` ``uint32`` array.  One
-    state dict is updated in place for each index, so set it before taking
-    the next."""
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+def _pcg64_starts(seed: int, start: int, stop: int) -> tuple:
+    """The ``PCG64`` streams of ``default_rng([seed, i])`` for ``i`` in
+    ``start .. stop - 1``, as ``(x_hi, x_lo, inc_hi, inc_lo)`` ``uint64``
+    arrays: ``pcg64_set_seed`` sets ``inc = 2 seq + 1`` and leaves
+    ``x = inc + seed`` one step before the start state ``x MULT + inc``.
+    Indices that share their words above the lowest are hashed together,
+    as one ``(words, indices)`` ``uint32`` array."""
     seed_words = _words32(seed)
+    halves = []
     first = start
     while first < stop:
         upper = first >> 32
@@ -566,14 +588,184 @@ def _pcg64_states(seed: int, start: int, stop: int):
         entropy[:] = np.array(words, np.uint32)[:, None]
         entropy[len(seed_words)] = np.arange(last - first) + (first & _MASK32)
         # per index: seed_hi, seed_lo, seq_hi, seq_lo, each from two words
-        halves = np.ascontiguousarray(_seed_state_words(entropy).T, dtype="<u4").view("<u8")
-        for s_hi, s_lo, q_hi, q_lo in halves.tolist():
-            # pcg64_set_seed: inc = 2 seq + 1; state = (inc + seed) * MULT + inc
-            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-            pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-            pcg["inc"] = inc
-            yield state
+        halves.append(np.ascontiguousarray(_seed_state_words(entropy).T, dtype="<u4").view("<u8"))
         first = last
+    s_hi, s_lo, q_hi, q_lo = (halves[0] if len(halves) == 1 else np.concatenate(halves)).T
+    inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
+    return (*_add128(inc_hi, inc_lo, s_hi, s_lo), inc_hi, inc_lo)
+
+
+# 128-bit integers as (hi, lo) pairs of uint64 arrays.  Array arithmetic
+# wraps silently; numpy warns on uint64 *scalar* overflow, so every operand
+# here is an array of at least one dimension.
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple:
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple:
+    """``a b mod 2^128``; the high word of ``a_lo b_lo`` from 32-bit halves."""
+    a1, a0, b1, b0 = a_lo >> 32, a_lo & _MASK32, b_lo >> 32, b_lo & _MASK32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + a_hi * b_lo + a_lo * b_hi
+    return hi, a_lo * b_lo
+
+
+@functools.cache
+def _pcg64_jumps(words: int) -> tuple:
+    """``(A_hi, A_lo, C_hi, C_lo)``, ``(1, words)`` ``uint64`` rows: ``PCG64``
+    steps ``k = 1 .. words`` from state ``s`` with increment ``c`` reach
+    ``A_k s + C_k c`` (mod 2^128), as ``A_k = MULT^k`` and ``C_k = MULT^(k-1)
+    + ... + 1`` (Brown, "Random number generation with arbitrary strides",
+    1994).  Cached: one entry per word count in use."""
+    a, c = [_PCG64_MULT], [1]
+    for _ in range(words - 1):
+        a.append(a[-1] * _PCG64_MULT & _MASK128)
+        c.append(c[-1] * _PCG64_MULT + 1 & _MASK128)
+    rows = tuple(
+        np.array([[n >> shift & _MASK64 for n in ns]], np.uint64) for ns in (a, c) for shift in (64, 0)
+    )
+    for row in rows:
+        row.setflags(write=False)
+    return rows
+
+
+def _pcg64_words(starts: tuple, words: int) -> np.ndarray:
+    """The first ``words`` raw outputs of the ``PCG64`` streams ``starts``
+    (:func:`_pcg64_starts`), a ``(T, words)`` ``uint64`` array: the XSL-RR
+    outputs of steps ``2 .. words + 1`` from ``x``, each ``hi ^ lo`` of the
+    new state rotated right by its top six bits."""
+    x_hi, x_lo, inc_hi, inc_lo = (x[:, None] for x in starts)
+    a_hi, a_lo, c_hi, c_lo = (row[:, 1:] for row in _pcg64_jumps(words + 1))
+    hi, lo = _add128(*_mul128(a_hi, a_lo, x_hi, x_lo), *_mul128(c_hi, c_lo, inc_hi, inc_lo))
+    x, rot = hi ^ lo, hi >> 58
+    return x >> rot | x << (64 - rot & 63)
+
+
+@dataclass(frozen=True, eq=False)
+class _Ziggurat:
+    """The installed numpy's ziggurat for ``standard_normal``, as far as its
+    one-word fast path: a word with layer ``i = word & 255``, sign bit
+    ``word >> 8 & 1`` and ``rabs = word >> 9 & (2^52 - 1)`` is the normal
+    ``+-rabs w[i]`` when ``rabs < k[i]`` (Marsaglia and Tsang, J. Stat.
+    Softw. 5(8), 2000).  ``k`` may be below numpy's bound, never above;
+    ``fast_share`` is the share of words it passes."""
+
+    w: np.ndarray
+    k: np.ndarray
+    fast_share: float
+
+
+#: A block of ``T`` trials is drawn as arrays when the trials expected to
+#: keep every normal on the ziggurat's fast path, ``T q``, outnumber those
+#: the loop redraws, ``T (1 - q)``, by at least this many.  Timing the draw
+#: alone (d = 2..6, count = 2..6, T = 16..256), the array path was faster
+#: from a surplus of 6-25 trials and slower at every T when the surplus was
+#: negative.  The margin above that keeps blocks that would save a few tens
+#: of microseconds, such as 40 trials at d = 2, on the loop, and with them
+#: the one-time table read off the processes that only draw those.
+_ARRAY_SURPLUS = 64
+
+
+def _first_normal(word: int) -> tuple:
+    """``standard_normal()`` of a ``PCG64`` whose next raw word is ``word``
+    (state ``word``, increment 1, so the XSL-RR rotation is zero), and
+    whether it took exactly that one word."""
+    gen = _probe_generator()
+    bits = gen.bit_generator
+    bits.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": (word - 1) * _PCG64_INVERSE & _MASK128, "inc": 1},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen.standard_normal(), bits.state["state"]["state"] == word
+
+
+@functools.cache
+def _probe_generator() -> np.random.Generator:
+    """The one generator :func:`_first_normal` sets to each probe."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
+def _fast_bound(layer: int, guess: int) -> int:
+    """The number of ``rabs`` that take layer ``layer``'s fast path, which
+    are ``0 .. k - 1``: ``guess`` if a probe at ``guess - 1`` confirms it as
+    a lower bound, else bisected on ``0 .. 2^52`` with 52 probes."""
+    if 0 < guess <= 1 << 52 and _first_normal(layer | guess - 1 << 9)[1]:
+        return guess
+    low, high = 0, 1 << 52
+    while low < high:
+        mid = (low + high) // 2
+        if _first_normal(layer | mid << 9)[1]:
+            low = mid + 1
+        else:
+            high = mid
+    return low
+
+
+@functools.cache
+def _ziggurat() -> _Ziggurat | None:
+    """The installed numpy's fast-path tables, read once per process by
+    probes; None when a block drawn as arrays differs from the loop.
+
+    ``w[i]`` is read exactly, as the normal of the word with ``rabs = 1``.
+    ``k[i]`` is about ``2^52 w[i-1] / w[i]``, which a probe confirms as a
+    lower bound (it was exact or one low on numpy 2.4.6); layers whose
+    guess fails, or whose ``w[i-1]`` is unread, are bisected, and a layer
+    whose ``rabs = 1`` probe takes more than one word gets no fast path.
+    The self-check draws trials 0 .. 63 of seed 0 at ``count = 2``,
+    ``dim = 3`` both ways, fallback trials included."""
+    w, one_word = zip(*(_first_normal(i | 1 << 9) for i in range(256)))
+    k = [0] * 256
+    for i in range(256):
+        if one_word[i]:
+            ratio = w[i - 1] / w[i] if i and one_word[i - 1] and w[i] > 0.0 else 0.0
+            k[i] = _fast_bound(i, int(2.0**52 * min(ratio, 1.0)))
+    tables = _Ziggurat(np.array(w), np.array(k, np.uint64), sum(k) / 2.0**60)
+    starts = _pcg64_starts(0, 0, 64)
+    drawn = [(np.empty((64, 2, 4)), np.empty((64, 2, 3, 3))) for _ in range(2)]
+    _fill_loop(*drawn[0], starts, _fill_arrays(*drawn[0], starts, tables))
+    _fill_loop(*drawn[1], starts, np.arange(64))
+    same = all(a.tobytes() == b.tobytes() for a, b in zip(*drawn))
+    return tables if same else None
+
+
+def _fill_arrays(u: np.ndarray, g: np.ndarray, starts: tuple, tables: _Ziggurat) -> np.ndarray:
+    """Fill the uniforms ``u`` ``(T, count, dim + 1)`` and normals ``g``
+    ``(T, count, dim, dim)`` of the streams at ``starts`` from their raw
+    words, as ``Generator.random`` and the fast path of
+    ``Generator.standard_normal`` take them.  Returns the trials with a
+    normal off the fast path, whose rows here are not their draws."""
+    trials, count, dim = g.shape[:3]
+    r = _pcg64_words(starts, count * (1 + dim + dim * dim)).reshape(trials, count, -1)
+    u[:] = (r[..., : dim + 1] >> 11) * 2.0**-53
+    z = r[..., dim + 1 :]
+    layer, rabs = z & 0xFF, z >> 9 & _MASK52
+    x = rabs * tables.w[layer]
+    g[:] = np.where(z & 0x100, -x, x).reshape(g.shape)
+    return np.flatnonzero(~(rabs < tables.k[layer]).reshape(trials, -1).all(axis=1))
+
+
+def _fill_loop(u: np.ndarray, g: np.ndarray, starts: tuple, rows) -> None:
+    """Fill rows ``rows`` of ``u`` and ``g`` (see :func:`_fill_arrays`) by
+    setting one reused generator to each trial's start state, one step on
+    from ``x``, and calling ``random`` and ``standard_normal`` per matrix."""
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    x_hi, x_lo, c_hi, c_lo = (x[rows].tolist() for x in starts)
+    for t, a, b, c, d in zip(rows, x_hi, x_lo, c_hi, c_lo):
+        inc = c << 64 | d
+        pcg["state"], pcg["inc"] = ((a << 64 | b) * _PCG64_MULT + inc) & _MASK128, inc
+        bits.state = state
+        for uk, gk in zip(u[t], g[t]):
+            gen.random(out=uk)
+            gen.standard_normal(out=gk)
 
 
 @functools.cache

@@ -237,6 +237,41 @@ class TestMeanCommand:
 
 
 class TestCheckCommand:
+    @pytest.mark.parametrize(
+        "statement, names, flags, config",
+        [
+            ("c-multi", "AB", (), {"dim": 3, "n_matrices": 2}),
+            ("c-multi", "ABC", ("--dim", "3", "--n-matrices", "3"), {"dim": 3, "n_matrices": 3}),
+            ("mp-gamma", "AB", (), {"dim": 3, "n_matrices": 3}),
+        ],
+        ids=["multi-defaults", "multi-matching", "binary"],
+    )
+    def test_matrix_files_set_the_reported_shape(self, statement, names, flags, config, capsys):
+        # the report used to show --dim and --n-matrices, not the files it evaluated
+        paths = [str(Path(__file__).parent / "golden" / f"{name}.txt") for name in names]
+        code, out, _ = run_cli(
+            capsys, "check", statement, *flags, "--matrices", *paths, "--band", "0.1:20", "--format", "json"
+        )
+        assert code == 0
+        reported = json.loads(out)["config"]
+        assert {name: reported[name] for name in config} == config
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--n-matrices", "7", "--dim", "5"), "--dim 5 disagrees with the files' 3x3 matrices"),
+            (("--dim", "2"), "--dim 2 disagrees with the files' 3x3 matrices"),
+            (("--n-matrices", "7"), "--n-matrices 7 disagrees with the 3 matrix files"),
+        ],
+        ids=["both", "dim", "count"],
+    )
+    def test_flags_that_disagree_with_matrix_files(self, flags, message, capsys):
+        paths = [str(Path(__file__).parent / "golden" / f"{name}.txt") for name in "ABC"]
+        code, out, err = run_cli(
+            capsys, "check", "c-multi", *flags, "--matrices", *paths, "--band", "0.1:20", "--format", "json"
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_seeded_holds(self, capsys):
         code, out, _ = run_cli(capsys, "check", "ando", "--seed", "3")
         assert code == 0

@@ -2,6 +2,8 @@
 
 ``numpy.linalg`` is called only in ``symmat``, whose ``_eigh``,
 ``_congruence``, ``_floored`` and ``_haar_frame`` serve every other module.
+So are numpy's generator internals, the ``PCG64`` jump-ahead and the
+ziggurat tables, which the seeded draw ``random_spd_trials`` needs.
 A map's ``action`` is applied only in ``linmaps._apply_map``, which checks
 the dimension and symmetrizes the image.  Each tolerance policy lives in one
 module: the positive definite floor and the order slack in ``symmat`` (the
@@ -33,6 +35,15 @@ OWNERS = {
     "_ALM_TOL": "kubo_ando",
     "_ALM_MAX_ITER": "kubo_ando",
     "_LOEWNER_TOL": "functions",
+    # numpy's generator internals: the seeded draw is bitwise default_rng's
+    "PCG64": "symmat",
+    "_PCG64_MULT": "symmat",
+    "_PCG64_INVERSE": "symmat",
+    "_pcg64_jumps": "symmat",
+    "_pcg64_words": "symmat",
+    "_ziggurat": "symmat",
+    "_first_normal": "symmat",
+    "_fast_bound": "symmat",
 }
 
 #: Where outside their owners a name may be imported: the package's re-export.
@@ -126,6 +137,9 @@ def test_package_keeps_every_name_in_its_owner():
         ("statements", "from .kubo_ando import _ALM_TOL"),
         ("symmat", "_alm(x, 1e-12, _ALM_MAX_ITER)"),
         ("symmat", "_LOEWNER_TOL = 1e-6"),
+        ("search", "import numpy as np\nbits = np.random.PCG64(0)"),
+        ("statements", "from numpy.random import PCG64"),
+        ("statements", "from .symmat import _ziggurat"),
     ],
 )
 def test_a_use_outside_the_owner_is_found(module, source, tmp_path):
@@ -143,6 +157,7 @@ def test_a_use_outside_the_owner_is_found(module, source, tmp_path):
         ("matio", "ASYMMETRY_WARN = 1e-9"),
         ("kubo_ando", "_ALM_TOL = 1e-12\n_ALM_MAX_ITER = 1000"),
         ("functions", "ok = margin >= -_LOEWNER_TOL"),
+        ("symmat", "import numpy as np\nbits = np.random.PCG64(0)\nwords = _pcg64_words(starts, 8)"),
     ],
 )
 def test_a_use_in_the_owner_is_allowed(module, source, tmp_path):

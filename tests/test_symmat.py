@@ -249,6 +249,29 @@ def _reference_draw(dim, band, count, seed, start, stop):
     return symmat._conjugate_spectra(w, g)
 
 
+def _emitting(word):
+    """A ``PCG64`` whose next raw word is ``word`` and whose state after it is
+    ``word``: increment 1 and no XSL-RR rotation."""
+    bits = np.random.PCG64(0)
+    inverse = pow(0x2360ED051FC65DA44385DF649FCCF645, -1, 2**128)
+    state = {"state": (word - 1) * inverse % 2**128, "inc": 1}
+    bits.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    return bits
+
+
+def _record_array_blocks(monkeypatch):
+    """Record ``(trials, redrawn)`` for each block drawn as arrays."""
+    blocks, fill = [], symmat._fill_arrays
+
+    def recording(u, g, starts, tables):
+        rows = fill(u, g, starts, tables)
+        blocks.append((len(u), len(rows)))
+        return rows
+
+    monkeypatch.setattr(symmat, "_fill_arrays", recording)
+    return blocks
+
+
 class TestRandomSpdTrials:
     @pytest.mark.parametrize(
         "band", [SpectralBand(0.99, 1.01), SpectralBand(1e-3, 1e3)], ids=["narrow", "wide"]
@@ -262,6 +285,75 @@ class TestRandomSpdTrials:
                     want = _reference_draw(dim, band, count, seed, start, stop)
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("surplus", [-np.inf, np.inf], ids=["arrays", "loop"])
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**100])
+    def test_both_paths_match_per_trial_generators(self, seed, surplus, monkeypatch):
+        # the surplus bound patched so that every block takes one path
+        assert symmat._ziggurat() is not None
+        monkeypatch.setattr(symmat, "_ARRAY_SURPLUS", surplus)
+        blocks = _record_array_blocks(monkeypatch)
+        band = SpectralBand(0.4, 3.0)
+        for dim in range(1, 7):
+            for count in range(1, 7):
+                for start, stop in [(0, 6), (2**32 - 3, 2**32 + 3), (2**64 - 3, 2**64 + 3)]:
+                    got = symmat.random_spd_trials(dim, band, count, seed, start, stop)
+                    assert got.tobytes() == _reference_draw(dim, band, count, seed, start, stop).tobytes()
+        if surplus > 0:
+            assert blocks == []
+        else:
+            # some blocks keep every trial, some redraw a few, some redraw all
+            redrawn = {r for _, r in blocks}
+            assert len(blocks) == 6 * 6 * 3 and {0, 6} <= redrawn and redrawn - {0, 6}
+
+    def test_array_path_on_a_full_block(self, monkeypatch):
+        blocks = _record_array_blocks(monkeypatch)
+        band = SpectralBand(1e-3, 1e3)
+        got = symmat.random_spd_trials(2, band, 2, 7, 2**64 - 100, 2**64 + 156)
+        assert got.tobytes() == _reference_draw(2, band, 2, 7, 2**64 - 100, 2**64 + 156).tobytes()
+        ((trials, redrawn),) = blocks
+        assert trials == 256 and 0 < redrawn < 128
+
+    @pytest.mark.parametrize("trials, arrays", [(256, True), (232, True), (43, False), (40, False)])
+    def test_path_rule(self, trials, arrays, monkeypatch):
+        # violation-search's blocks of binary statements at d = 2 go down the
+        # array path; theorem-sweep's blocks of 40 stay on the loop
+        blocks = _record_array_blocks(monkeypatch)
+        symmat.random_spd_trials(2, SpectralBand(1.0, 2.0), 2, 3, 0, trials)
+        assert bool(blocks) == arrays
+
+    def test_table_probes_take_one_word(self):
+        tables = symmat._ziggurat()
+        assert tables.k[1] == 0 and 0.98 < tables.fast_share < 0.99
+        for layer in np.flatnonzero(tables.k):
+            for rabs in (1, int(tables.k[layer]) - 1):
+                word = int(layer) | rabs << 9
+                assert _emitting(word).random_raw() == word
+                bits = _emitting(word)
+                x = np.random.Generator(bits).standard_normal()
+                assert bits.state["state"]["state"] == word, "more than one word"
+                assert x == rabs * tables.w[layer]
+
+    def test_failed_self_check_keeps_the_loop(self, monkeypatch):
+        # a numpy whose normals differ from the tables' fast path
+        calls, fill = [], symmat._fill_arrays
+
+        def wrong(u, g, starts, tables):
+            calls.append(len(u))
+            rows = fill(u, g, starts, tables)
+            g[:] = -g
+            return rows
+
+        monkeypatch.setattr(symmat, "_fill_arrays", wrong)
+        symmat._ziggurat.cache_clear()
+        try:
+            assert symmat._ziggurat() is None
+            band = SpectralBand(1.0, 2.0)
+            got = symmat.random_spd_trials(2, band, 2, 3, 0, 256)
+            assert got.tobytes() == _reference_draw(2, band, 2, 3, 0, 256).tobytes()
+            assert calls == [64]
+        finally:
+            symmat._ziggurat.cache_clear()
 
     def test_long_index_range(self):
         band = SpectralBand(0.4, 3.0)
