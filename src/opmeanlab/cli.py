@@ -321,14 +321,12 @@ def _fit_to_files(cfg: StatementConfig, args, mats) -> StatementConfig:
     multi-matrix statement, their count, so that the report shows what was
     evaluated.  A ``--dim`` or ``--n-matrices`` given that disagrees raises."""
     d, n = mats[0].dim, len(mats)
-    found = {"dim": (d, f"the files' {d}x{d} matrices")}
-    if get_statement(cfg.statement_id).multi:
-        found["n_matrices"] = (n, f"the {n} matrix files")
-    for name, (value, files) in found.items():
-        given = vars(args).get(name)
-        if given is not None and given != value:
-            raise ValueError(f"--{name.replace('_', '-')} {given} disagrees with {files}")
-    return replace(cfg, **{name: value for name, (value, _) in found.items()})
+    multi = get_statement(cfg.statement_id).multi
+    if args.dim is not None and args.dim != d:
+        raise ValueError(f"--dim {args.dim} disagrees with the files' {d}x{d} matrices")
+    if multi and args.n_matrices is not None and args.n_matrices != n:
+        raise ValueError(f"--n-matrices {args.n_matrices} disagrees with the {n} matrix files")
+    return replace(cfg, dim=d, n_matrices=n) if multi else replace(cfg, dim=d)
 
 
 def cmd_check(args) -> int:

@@ -670,11 +670,10 @@ class _Ziggurat:
 _ARRAY_SURPLUS = 64
 
 
-def _first_normal(word: int) -> tuple:
-    """``standard_normal()`` of a ``PCG64`` whose next raw word is ``word``
-    (state ``word``, increment 1, so the XSL-RR rotation is zero), and
-    whether it took exactly that one word."""
-    gen = _probe_generator()
+def _first_normal(gen: np.random.Generator, word: int) -> tuple:
+    """``standard_normal()`` of ``gen``, a ``PCG64`` generator, set so that
+    its next raw word is ``word`` (state ``word``, increment 1, so the XSL-RR
+    rotation is zero), and whether it took exactly that one word."""
     bits = gen.bit_generator
     bits.state = {
         "bit_generator": "PCG64",
@@ -685,22 +684,16 @@ def _first_normal(word: int) -> tuple:
     return gen.standard_normal(), bits.state["state"]["state"] == word
 
 
-@functools.cache
-def _probe_generator() -> np.random.Generator:
-    """The one generator :func:`_first_normal` sets to each probe."""
-    return np.random.Generator(np.random.PCG64(0))
-
-
-def _fast_bound(layer: int, guess: int) -> int:
+def _fast_bound(gen: np.random.Generator, layer: int, guess: int) -> int:
     """The number of ``rabs`` that take layer ``layer``'s fast path, which
     are ``0 .. k - 1``: ``guess`` if a probe at ``guess - 1`` confirms it as
     a lower bound, else bisected on ``0 .. 2^52`` with 52 probes."""
-    if 0 < guess <= 1 << 52 and _first_normal(layer | guess - 1 << 9)[1]:
+    if 0 < guess <= 1 << 52 and _first_normal(gen, layer | guess - 1 << 9)[1]:
         return guess
     low, high = 0, 1 << 52
     while low < high:
         mid = (low + high) // 2
-        if _first_normal(layer | mid << 9)[1]:
+        if _first_normal(gen, layer | mid << 9)[1]:
             low = mid + 1
         else:
             high = mid
@@ -719,12 +712,13 @@ def _ziggurat() -> _Ziggurat | None:
     whose ``rabs = 1`` probe takes more than one word gets no fast path.
     The self-check draws trials 0 .. 63 of seed 0 at ``count = 2``,
     ``dim = 3`` both ways, fallback trials included."""
-    w, one_word = zip(*(_first_normal(i | 1 << 9) for i in range(256)))
+    gen = np.random.Generator(np.random.PCG64(0))
+    w, one_word = zip(*(_first_normal(gen, i | 1 << 9) for i in range(256)))
     k = [0] * 256
     for i in range(256):
         if one_word[i]:
             ratio = w[i - 1] / w[i] if i and one_word[i - 1] and w[i] > 0.0 else 0.0
-            k[i] = _fast_bound(i, int(2.0**52 * min(ratio, 1.0)))
+            k[i] = _fast_bound(gen, i, int(2.0**52 * min(ratio, 1.0)))
     tables = _Ziggurat(np.array(w), np.array(k, np.uint64), sum(k) / 2.0**60)
     starts = _pcg64_starts(0, 0, 64)
     drawn = [(np.empty((64, 2, 4)), np.empty((64, 2, 3, 3))) for _ in range(2)]
