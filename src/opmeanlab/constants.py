@@ -246,20 +246,22 @@ def mp_gamma(f: Callable, g: Callable, h: Callable, band: SpectralBand) -> MPCon
 def yamazaki_coeff(band: SpectralBand, n: int) -> float:
     """Kantorovich power ``K(m, M)^((n - 1) / 2)`` for ``n`` matrices.
 
-    Integer exponents are computed by repeated multiplication so that, for
-    example, the value at ``(m, M, n) = (1, 2, 5)`` is the exact square
-    ``(9/8)^2``.  A power past the float range raises ``OverflowError``.
+    Integer exponents take ``O(log n)`` products by square-and-multiply, the
+    products of repeated multiplication up to ``n = 8``: the value at
+    ``(m, M, n) = (1, 2, 5)`` is the exact square ``(9/8)^2``.  A power past
+    the float range raises ``OverflowError``.
     """
     n = int(n)
     if n < 2:
         raise ValueError(f"need at least two matrices, got n={n!r}")
     k = kantorovich(band)
     whole, rem = divmod(n - 1, 2)
-    out = 1.0
-    for _ in range(whole):
-        out *= k
-        if out == math.inf:  # k >= 1: it stays infinite, so stop at the first overflow
-            break
+    out, square = 1.0, k
+    while whole:
+        if whole & 1:
+            out *= square
+        square *= square
+        whole >>= 1
     if rem:
         out *= math.sqrt(k)
     if not math.isfinite(out):

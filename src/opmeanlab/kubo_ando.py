@@ -28,9 +28,9 @@ of two regimes, both exact to the bit:
 * floats: an ``n = 3`` level of a few ``2 x 2`` tuples, where numpy's
   per-call cost outweighs the arithmetic, iterates each tuple in Python
   floats with the closed form's IEEE operations in the stacked order;
-  exact because close stopping decisions are settled by the same stopping
-  test as the stacked sweep, and any pair near a floor or an overflow
-  hands the whole level back to the stacked sweep.
+  exact because each stopping norm it decides on clears its limit by more
+  than the two summation orders can differ, and a closer norm, or any pair
+  near a floor or an overflow, hands the level back to the stacked sweep.
 """
 
 from __future__ import annotations
@@ -323,7 +323,7 @@ _FLOAT_LEVEL_MAX = 12
 
 #: Relative gap by which a float-side stopping norm must clear its limit for
 #: the decision to stand.  The summation orders of ``np.vecdot`` and of
-#: Python differ by a few ulps; closer cases are decided by ``np.vecdot``.
+#: Python differ by a few ulps; a closer case goes back to the stacked sweep.
 _CLEAR = 1e-12
 
 
@@ -359,12 +359,11 @@ def _alm3_floats(tuples: np.ndarray, tol: float, max_iter: int) -> np.ndarray | 
     where the stacked sweep must run the level instead.
 
     Means and averages repeat the stacked kernel's operations.  A stopping
-    decision stands when every member's norm clears its limit by the
-    relative gap ``_CLEAR``; otherwise the stacked sweep's stopping test
-    :func:`_moved` decides.  Any pair outside the regime of
+    decision stands only when every member's norm clears its limit by the
+    relative gap ``_CLEAR``.  A closer norm, any pair outside the regime of
     :func:`_geometric_floats`, a norm that is not finite, or a tuple still
     moving after ``max_iter`` sweeps returns None, so that the stacked sweep
-    raises its own error with its own residual.
+    decides, or raises its own error with its own residual.
     """
     out = []
     for cur in tuples.reshape(-1, 3, 4).tolist():
@@ -373,7 +372,7 @@ def _alm3_floats(tuples: np.ndarray, tol: float, max_iter: int) -> np.ndarray | 
             nxt = [_geometric_floats(c1, c2), _geometric_floats(c0, c2), _geometric_floats(c0, c1)]
             if None in nxt:
                 return None
-            moving = razor = False
+            moving = False
             for (n0, n1, n2, n3), (o0, o1, o2, o3) in zip(nxt, cur):
                 d0, d1, d2, d3 = n0 - o0, n1 - o1, n2 - o2, n3 - o3
                 delta = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3)
@@ -384,9 +383,7 @@ def _alm3_floats(tuples: np.ndarray, tol: float, max_iter: int) -> np.ndarray | 
                 if delta > limit * (1.0 + _CLEAR):
                     moving = True
                 elif not delta < limit * (1.0 - _CLEAR):
-                    razor = True
-            if razor and not moving:
-                moving = bool(_moved(np.subtract(nxt, cur), np.array(cur), tol)[2].any())
+                    return None
             cur = nxt
             if not moving:
                 out.append([(0.0 + x + y + z) / 3 for x, y, z in zip(*cur)])
@@ -401,8 +398,8 @@ def _alm(tuples: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """ALM mean of every tuple in a ``(B, n, d, d)`` stack, as ``(B, d, d)``.
 
     Each sweep stacks the leave-one-out sub-tuples of every tuple still
-    iterating into one call: of the binary kernel at ``n = 3``, of the
-    recursion above that.  A tuple stops at the sweep where no member moved
+    iterating into one recursive call, which at ``n = 3`` is one call of
+    the binary kernel.  A tuple stops at the sweep where no member moved
     by more than ``tol * (1 + ||old||_F)``, as it would alone.  Norms of
     entries past about 1e154 overflow, which would stop a tuple with an
     infinite or NaN limit; a tuple that stops with a norm that is not
@@ -425,15 +422,11 @@ def _alm(tuples: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
         and (means := _alm3_floats(tuples, tol, max_iter)) is not None
     ):
         return means
-    others = [[j for j in range(n) if j != i] for i in range(n)]
-    first, second = np.array([1, 0, 0]), np.array([2, 2, 1])  # the pairs others[i] when n = 3
+    others = np.array([j for i in range(n) for j in range(n) if j != i])  # leave-one-out, flat
     out = np.empty((count, d, d))
     active, cur = np.arange(count), tuples
     for _ in range(max_iter):
-        if n == 3:
-            nxt = _binary_mean(np.sqrt, np.take(cur, first, axis=1), np.take(cur, second, axis=1))
-        else:
-            nxt = _alm(cur[:, others].reshape(-1, n - 1, d, d), tol, max_iter).reshape(-1, n, d, d)
+        nxt = _alm(np.take(cur, others, axis=1).reshape(-1, n - 1, d, d), tol, max_iter).reshape(-1, n, d, d)
         delta, size, moved = _moved((nxt - cur).reshape(len(cur), n, -1), cur.reshape(len(cur), n, -1), tol)
         moving = moved.any(axis=1)
         if moving.all():

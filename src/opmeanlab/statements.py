@@ -143,8 +143,6 @@ class Verdict:
     holds: bool
     gap_min_eig: float
     gap_det: float
-    lhs: SymMatrix
-    rhs: SymMatrix
     constants_used: object
     tol: float
 
@@ -610,15 +608,12 @@ def check(
     if enforce_hypotheses:
         _require_unital(cfg)
     consts = info.constants(cfg, len(x))
-    lhs, rhs = info.build(cfg, consts, x)
-    verdict = _loewner(lhs, rhs)
+    verdict = _loewner(*info.build(cfg, consts, x))
     return Verdict(
         statement_id=info.statement_id,
         holds=bool(verdict.holds),
         gap_min_eig=float(verdict.gap_min_eig),
         gap_det=float(verdict.gap_det),
-        lhs=SymMatrix._wrap(lhs),
-        rhs=SymMatrix._wrap(rhs),
         constants_used=consts,
         tol=float(verdict.tol_used),
     )

@@ -302,12 +302,18 @@ def _congruence(a, b, f: Callable, undefined: str = "scalar function is undefine
     invariance, any ``f``); each pair gets the bits it gets alone.  Floors on
     ``A`` and ``C``: ``lambda_min(A)`` is computed only where the factorization
     fails or ``||L^-1||_F^2 = tr(A^-1) >= 1 / lambda_min(A)``, summed over the
-    stack, reaches ``1 / PD_FLOOR``.  ``C`` and the result are symmetrized
-    without :func:`_symmetrize`'s finite check."""
+    stack, reaches ``1 / PD_FLOOR``; a failure above the floor names the
+    factorization.  ``C`` and the result are symmetrized without
+    :func:`_symmetrize`'s finite check."""
     try:
         factor = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        raise _floor_error("A", _eigh(a, vectors=False)[..., 0].min()) from None
+        w = _eigh(a, vectors=False)
+        _check_floor(w[..., 0].min(), "A")
+        raise NotPositiveDefiniteError(
+            f"Cholesky factorization of A failed: smallest eigenvalue {w[..., 0].min():.6e}, "
+            f"largest {w[..., -1].max():.6e}"
+        ) from None
     inv_factor = np.linalg.inv(factor)
     if np.vdot(inv_factor, inv_factor) >= 1.0 / PD_FLOOR:
         _check_floor(_eigh(a, vectors=False)[..., 0].min(), "A")

@@ -197,6 +197,23 @@ class TestMeanCommand:
             assert (proc.returncode, proc.stdout) == (2, "")
             assert proc.stderr.startswith("error: numeric overflow") and proc.stderr.count("\n") == 1
 
+    def test_failed_factorization_above_the_floor(self, tmp_path, capsys, monkeypatch):
+        # A's smallest eigenvalue 1e-10 clears the floor; the failure is forced,
+        # since whether LAPACK fails on A depends on its rounding
+        def failing(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        fa, fi = tmp_path / "a.txt", tmp_path / "i.txt"
+        write_sym_matrix(fa, SymMatrix.diagonal([1e-10, 1.0, 1e7]))
+        write_sym_matrix(fi, SymMatrix.identity(3))
+        code, out, err = run_cli(capsys, "mean", str(fa), str(fi), "--sigma", "arithmetic")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: Cholesky factorization of A failed: "
+            "smallest eigenvalue 1.000000e-10, largest 1.000000e+07\n"
+        )
+
     def test_single_file_rejected(self, tmp_path, capsys):
         p = tmp_path / "m.txt"
         write_sym_matrix(p, SymMatrix.identity(2))
@@ -662,6 +679,9 @@ def test_overflow_is_one_error_line(command, warnings, tmp_path):
         # the eigenvalues are finite, their product is not
         ("check aahh --band 1e160:1e161 --seed 1 --format json", "gap determinant is not finite"),
         ("constants --n-matrices 1000000000000", "yamazaki coefficient K^(999999999999/2) is not finite"),
+        # K is 1 + 2.5e-9: the power overflows only after about 2.8e11 factors
+        ("constants --band 1:1.0001 --n-matrices 1000000000000",
+         "yamazaki coefficient K^(999999999999/2) is not finite"),
         # 2^2000 raises in Python's float power
         ("check c23-b --band 1:2 --p 2000 --seed 1",
          "constant (f(M) g(1/m))^p of band [1.0, 2.0] is outside the float range"),

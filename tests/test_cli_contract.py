@@ -42,6 +42,7 @@ REJECTED = (
     "constants --band 1e-200:1e-199",
     "check aahh --band 1e160:1e161 --seed 1",
     "constants --n-matrices 1000000000000",
+    "constants --band 1:1.0001 --n-matrices 1000000000000",
     "check ando --band 1:1e14 --seed 1",
     "check ando --phi scale:1e308 --seed 1",
     "check t22-a --phi scale:1e308 --seed 1",

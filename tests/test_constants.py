@@ -204,9 +204,28 @@ class TestYamazakiCoeff:
             ol.yamazaki_coeff(BAND_12, 20000)
 
     def test_overflow_stops_at_the_first_infinite_product(self):
-        # (9/8)^k is infinite from k of about 6,000 on; the loop stops there
+        # (9/8)^k is infinite from k of about 6,000 on; square-and-multiply
+        # reaches k = 5e11 in about 80 products
         with pytest.raises(OverflowError, match="not finite"):
             ol.yamazaki_coeff(BAND_12, 10**12)
+
+    def test_unit_constant_at_a_huge_count(self):
+        # K = 1: no product ever overflows, so only O(log n) steps bound it
+        assert ol.yamazaki_coeff(SpectralBand(2.0, 2.0), 10**12) == 1.0
+
+    @pytest.mark.parametrize("band", [BAND_12, SpectralBand(0.4, 3.0), SpectralBand(1e-2, 1e2),
+                                      SpectralBand(1.0, 1.0001), SpectralBand(0.7, 13.0)], ids=str)
+    def test_repeated_product_bitwise_up_to_eight(self, band):
+        # square-and-multiply forms the same products as K * K * K for n <= 8
+        k = ol.kantorovich(band)
+        for n in range(2, 9):
+            whole, rem = divmod(n - 1, 2)
+            out = 1.0
+            for _ in range(whole):
+                out *= k
+            if rem:
+                out *= math.sqrt(k)
+            assert ol.yamazaki_coeff(band, n) == out, n
 
 
 # The five bands of the criterion-5 grid, and the values mp_alpha and

@@ -491,12 +491,13 @@ class TestFloatLevel:
     @pytest.mark.parametrize("band", BANDS, ids=str)
     @pytest.mark.parametrize("clear", [kubo_ando._CLEAR, 1.0])
     def test_n3_bitwise_up_to_the_crossover(self, monkeypatch, band, clear):
-        # a gap of 1.0 sends nearly every stopping decision to np.vecdot
+        # a gap of 1.0 makes every stopping decision a close call, and a close
+        # call hands the level back to the stacked sweep
         monkeypatch.setattr(kubo_ando, "_CLEAR", clear)
         for count in range(1, _FLOAT_LEVEL_MAX + 2):
             tuples = np.stack([spd_tuple(100 * count + k, 3, 2, band) for k in range(count)])
             if count <= _FLOAT_LEVEL_MAX:
-                assert _alm3_floats(tuples, 1e-12, 1000) is not None
+                assert (_alm3_floats(tuples, 1e-12, 1000) is None) == (clear == 1.0)
             floats, stacked = _both_paths(tuples)
             assert floats.tobytes() == stacked.tobytes(), count
 

@@ -50,6 +50,11 @@ class TestSymMatrix:
         m = SymMatrix([[2.0, 0.0], [0.0, 2.0]])
         assert np.trace(m) == 4.0
 
+    def test_array_copy_is_writable_and_unshared(self):
+        m = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
+        arr = np.array(m, copy=True)
+        assert arr.flags.writeable and not np.shares_memory(arr, m.data)
+
 
 class TestEig:
     def test_reconstruction_and_order(self):
@@ -455,3 +460,18 @@ def test_floor_error_names_operand_and_floor(site, stack):
     message = rf"^{re.escape(operand)} has smallest eigenvalue \S+, at or below floor 1e-13$"
     with pytest.raises(NotPositiveDefiniteError, match=message):
         call(stack)
+
+
+def _failing_cholesky(a):
+    # whether LAPACK's factorization of a matrix this ill-conditioned fails
+    # depends on its rounding, so the tests force the failure
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
+def test_failed_factorization_above_the_floor_claims_no_floor(monkeypatch):
+    monkeypatch.setattr(np.linalg, "cholesky", _failing_cholesky)
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        ol.mean(ol.ARITHMETIC, SymMatrix.diagonal([1e-10, 1.0, 1e7]), SymMatrix.identity(3))
+    assert str(err.value) == (
+        "Cholesky factorization of A failed: smallest eigenvalue 1.000000e-10, largest 1.000000e+07"
+    )
